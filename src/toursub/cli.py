@@ -19,15 +19,7 @@ from .complete_finder import (
 )
 from .core import format_tournament, generate, parse_tournament, tournament_hash
 from .errors import FailureTrace, ToursubError
-from .experiments import (
-    COMPLETE_COLUMNS,
-    SCAN_DK_COLUMNS,
-    TT_COLUMNS,
-    sweep_complete,
-    sweep_onesub,
-    sweep_tt3,
-    write_csv,
-)
+from .experiments import SCAN_DK_COLUMNS, SWEEP_COLUMNS, VERIFY_CAPS, sweep, write_csv
 from .oracle import DEFAULT_BUDGET, OracleQuery, oracle_subdivision, scan_d_lower
 from .params import FinderParams
 from .subdivision import (
@@ -99,28 +91,23 @@ def cmd_verify(args) -> int:
 
 def cmd_find(args) -> int:
     host = _read_tournament(args.input)
-    if args.finder == "complete":
-        params = FinderParams(k=args.k, scale=args.scale)
-        outcome = find_complete_subdivision(host, args.k, params)
-        cap = {"max_len": 3}
-    elif args.finder == "digraph":
+    if args.finder == "digraph":
         pattern = parse_pattern(args.pattern)
         params = FinderParams(k=pattern.k, scale=args.scale)
         outcome = find_digraph_subdivision(host, pattern, params)
-        cap = {"max_len": 3}
-    elif args.finder == "tt3":
-        params = FinderParams(k=args.k, scale=args.scale)
-        outcome = find_tt_len3(host, args.k, params)
-        cap = {"max_len": 3}
     else:
         params = FinderParams(k=args.k, scale=args.scale)
-        outcome = find_one_subdivision(host, args.k, params)
-        cap = {"max_len": 2, "exact_len": 2}
+        if args.finder == "complete":
+            outcome = find_complete_subdivision(host, args.k, params)
+        elif args.finder == "tt3":
+            outcome = find_tt_len3(host, args.k, params)
+        else:
+            outcome = find_one_subdivision(host, args.k, params)
 
     if isinstance(outcome, FailureTrace):
         print(json.dumps({"failure": outcome.to_json()}, indent=2))
         return EXIT_NEGATIVE
-    report = verify(host, outcome, **cap)
+    report = verify(host, outcome, **VERIFY_CAPS[args.finder])
     if not report.valid:
         print(f"internal error: finder produced an invalid witness: {report.violations[:5]}",
               file=sys.stderr)
@@ -165,41 +152,20 @@ def cmd_experiment(args) -> int:
         print(f"max delta+ among non-containing hosts: {max(noncontain) if noncontain else 'none'}")
         return EXIT_OK
 
-    if args.experiment == "soundness-sweep":
-        config = {"finder": args.finder, "k": args.k, "trials": args.trials, "n": args.n,
-                  "scale": str(args.scale), "seed": args.seed}
-        if args.finder == "complete":
-            rows, chains, bad = sweep_complete(args.k, args.trials, args.n, args.scale,
-                                               args.seed, workers=args.workers)
-            write_csv(args.out, "soundness-complete-v1", config, rows, COMPLETE_COLUMNS)
-        elif args.finder == "tt3":
-            rows, bad = sweep_tt3(args.k, args.trials, args.n, args.scale, args.seed,
-                                  workers=args.workers)
-            write_csv(args.out, "soundness-tt3-v1", config, rows, TT_COLUMNS)
-        else:
-            rows, bad = sweep_onesub(args.k, args.trials, args.n, args.scale, args.seed,
-                                     workers=args.workers)
-            write_csv(args.out, "soundness-onesub-v1", config, rows, TT_COLUMNS)
-        wit = sum(1 for r in rows if r["outcome"] == "witness")
-        print(f"{wit}/{len(rows)} witnesses; soundness violations: {len(bad)}")
-        if bad:
-            for b in bad[:5]:
-                print("  UNSOUND:", b, file=sys.stderr)
-            return EXIT_ERROR
-        return EXIT_OK
-
-    # tt-span: success rate and spans of the length-3 transitive finder.
-    rows, bad = sweep_tt3(args.k, args.trials, args.n, args.scale, args.seed,
-                          workers=args.workers)
-    config = {"k": args.k, "trials": args.trials, "n": args.n,
+    # soundness-sweep
+    n = int(args.n)
+    config = {"finder": args.finder, "k": args.k, "trials": args.trials, "n": n,
               "scale": str(args.scale), "seed": args.seed}
-    write_csv(args.out, "tt-span-v1", config, rows, TT_COLUMNS)
-    spans = [r["span"] for r in rows if r["outcome"] == "witness"]
-    if spans:
-        print(f"spans: min {min(spans)} max {max(spans)} over {len(spans)} witnesses")
-    else:
-        print("no witnesses")
-    return EXIT_ERROR if bad else EXIT_OK
+    rows, _, bad = sweep(args.finder, args.k, args.trials, n, args.scale, args.seed,
+                         workers=args.workers)
+    write_csv(args.out, f"soundness-{args.finder}-v1", config, rows, SWEEP_COLUMNS[args.finder])
+    wit = sum(1 for r in rows if r["outcome"] == "witness")
+    print(f"{wit}/{len(rows)} witnesses; soundness violations: {len(bad)}")
+    if bad:
+        for b in bad[:5]:
+            print("  UNSOUND:", b, file=sys.stderr)
+        return EXIT_ERROR
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--pattern", default=None, help="pattern spec for the digraph finder")
     p.add_argument("--scale", type=_fraction, default=Fraction(1))
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded for reproducibility; the finders are deterministic")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_find)
 
@@ -244,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="batch experiments with CSV output")
-    p.add_argument("experiment", choices=["scan-dk", "soundness-sweep", "tt-span"])
+    p.add_argument("experiment", choices=["scan-dk", "soundness-sweep"])
     p.add_argument("--finder", choices=["complete", "tt3", "onesub"], default="complete")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", default="240",
@@ -263,16 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "experiment" and args.experiment != "scan-dk":
-        args.n = int(args.n)
-    elif args.command == "find" and args.finder == "digraph" and not args.pattern:
+    if args.command == "find" and args.finder == "digraph" and not args.pattern:
         parser.error("find digraph requires --pattern")
     try:
         return args.func(args)
-    except ToursubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ToursubError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,18 +13,19 @@ come out in root coordinates and are checked by ``subdivision.verify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Tournament, bits_of, mask_of
+from .core import Cut, Tournament, _try_short_path, bits_of, mask_of
 from .errors import (
     CutInvalid,
     FailureTrace,
     InfeasibleDegree,
     InsufficientOutNeighbours,
     RepairExhausted,
+    StageFailure,
     TooSmall,
 )
 from .matching import HalfMatching, HallViolator, half_matching
@@ -45,15 +46,11 @@ __all__ = [
     "CutOutcome",
     "greedy_partial_subdivision",
     "maximize_len2",
-    "CutSets",
     "derive_cut",
     "validate_cut",
-    "CertifiedCut",
     "minimize_cut",
     "expansion_holds",
     "peel_low_outdegree",
-    "CutStage",
-    "CutChain",
     "embed_via_cut_chain",
     "find_complete_subdivision",
     "find_complete_subdivision_ex",
@@ -100,7 +97,8 @@ def find_balanced_set(
     if alpha < 1:
         raise TooSmall(
             f"size {size} gives alpha {float(alpha):.3f} < 1 "
-            f"(need at least {float(params.balanced_min_size):.1f})"
+            f"(need at least {float(params.balanced_min_size):.1f})",
+            stage="balanced-set", universe=size,
         )
     floor = params.deg_floor(alpha)
     width = params.window_width
@@ -110,7 +108,8 @@ def find_balanced_set(
         if d >= floor:
             degs[v] = d
     if len(degs) < k:
-        raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor")
+        raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor",
+                       stage="balanced-set", universe=size)
     base = max(0, -(-floor.numerator // floor.denominator))  # ceil of the Fraction
     top = max(degs.values())
     start = base
@@ -128,7 +127,8 @@ def find_balanced_set(
                 window=(start, start + width - 1),
             )
         start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} vertices")
+    raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
+                   stage="balanced-set", universe=size)
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +181,10 @@ class PartialEmbedding:
 class CutOutcome:
     state: GreedyPartial
     failed: Tuple[int, int]
-    cut: "CutSets"
+    cut: Cut
 
 
 DichotomyOutcome = Union[CompleteEmbedding, PartialEmbedding, CutOutcome]
-
-
-def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
-    """Lowest 2-path internal, else lexicographically lowest 3-path internals."""
-    w = t.out_mask(x) & t.in_mask(y) & avail
-    if w:
-        return ((w & -w).bit_length() - 1,)
-    for z in bits_of(t.out_mask(x) & avail):
-        ww = t.out_mask(z) & t.in_mask(y) & avail & ~(1 << z)
-        if ww:
-            return (z, (ww & -ww).bit_length() - 1)
-    return None
 
 
 def maximize_len2(
@@ -301,14 +289,7 @@ def greedy_partial_subdivision(
 # cut derivation and Hall-violator repair
 
 
-@dataclass(frozen=True)
-class CutSets:
-    cut: frozenset
-    source: frozenset
-    sink: frozenset
-
-
-def derive_cut(t: Tournament, state: GreedyPartial, failed: Tuple[int, int]) -> CutSets:
+def derive_cut(t: Tournament, state: GreedyPartial, failed: Tuple[int, int]) -> Cut:
     """The stuck-pair cut: U = V(partial) + (N-(x) minus N-(y)), source
     N-(y) minus U, sink N+(x) minus V(partial), inside the working universe."""
     x, y = failed
@@ -322,14 +303,14 @@ def derive_cut(t: Tournament, state: GreedyPartial, failed: Tuple[int, int]) -> 
     for s in bits_of(s_mask):
         if sink_mask & ~t.out_mask(s):
             raise RuntimeError(f"edge into source vertex {s} from the sink side")
-    return CutSets(
+    return Cut(
         cut=frozenset(bits_of(u_mask)),
         source=frozenset(bits_of(s_mask)),
         sink=frozenset(bits_of(sink_mask)),
     )
 
 
-def validate_cut(cut: CutSets, k: int) -> None:
+def validate_cut(cut: Cut, k: int) -> None:
     """Size requirements from the dichotomy: |S| >= |U| + k and sink >= k."""
     if len(cut.source) < len(cut.cut) + k:
         raise CutInvalid("source smaller than cut + k", len(cut.source), len(cut.cut), len(cut.sink))
@@ -337,20 +318,9 @@ def validate_cut(cut: CutSets, k: int) -> None:
         raise CutInvalid("sink smaller than k", len(cut.source), len(cut.cut), len(cut.sink))
 
 
-@dataclass(frozen=True)
-class CertifiedCut:
-    """A cut whose expansion into the source is certified constructively:
-    U splits into two halves, each matched one-to-one into S."""
-
-    cut: frozenset
-    source: frozenset
-    u_prime: frozenset
-    u_dprime: frozenset
-    m_prime: dict
-    m_dprime: dict
-
-
-def _split_half_matching(hm: HalfMatching) -> Tuple[frozenset, frozenset, dict, dict]:
+def _split_half_matching(hm: HalfMatching) -> Tuple[dict, dict]:
+    """Split a half-matching into two one-to-one matchings: each source
+    vertex's lowest partner goes to the first, its second to the other."""
     by_target: Dict[int, List[int]] = {}
     for u, s in hm.edges:
         by_target.setdefault(s, []).append(u)
@@ -360,16 +330,16 @@ def _split_half_matching(hm: HalfMatching) -> Tuple[frozenset, frozenset, dict, 
         u1[partners[0]] = s
         if len(partners) > 1:
             u2[partners[1]] = s
-    return frozenset(u1), frozenset(u2), u1, u2
+    return u1, u2
 
 
 def minimize_cut(
     t: Tournament,
-    cut: CutSets,
+    cut: Cut,
     k: int,
-) -> CertifiedCut:
+) -> Cut:
     """Shrink (U, S) by the violator replacement until the half-matching
-    certificate succeeds.
+    certificate succeeds; returns the cut with its certificate.
 
     Each failed certificate yields X with |N+(X) & S| < |X|/2; replacing U by
     (U minus X) + (N+(X) & S) and S by S minus N+(X) strictly shrinks U while
@@ -396,12 +366,11 @@ def minimize_cut(
                     raise RuntimeError(
                         f"repair broke the source orientation at vertex {s}"
                     )
-            u1, u2, m1, m2 = _split_half_matching(res)
-            return CertifiedCut(
+            m1, m2 = _split_half_matching(res)
+            return Cut(
                 cut=frozenset(u_set),
                 source=frozenset(s_set),
-                u_prime=u1,
-                u_dprime=u2,
+                sink=frozenset(bits_of(rest)),
                 m_prime=m1,
                 m_dprime=m2,
             )
@@ -462,37 +431,14 @@ def peel_low_outdegree(
     return peeled, cur
 
 
-@dataclass(frozen=True)
-class CutStage:
-    universe: frozenset
-    cut: frozenset
-    source: frozenset
-    u_prime: frozenset
-    u_dprime: frozenset
-    m_prime: dict
-    m_dprime: dict
-
-
-@dataclass(frozen=True)
-class CutChain:
-    stages: Tuple[CutStage, ...]
-    terminal: frozenset
-
-    def all_cut_vertices(self) -> frozenset:
-        out = frozenset()
-        for st in self.stages:
-            out |= st.cut
-        return out
-
-
 def embed_via_cut_chain(
     t: Tournament,
     branch: Sequence[int],
     pairs: Sequence[Tuple[int, int]],
-    chain: CutChain,
+    chain: Sequence[Cut],
 ) -> List[PathWitness]:
     """Internally disjoint 3-paths x -> u -> s -> y for the given branch
-    pairs, routing through the certified cut/source stages.
+    pairs, routing through the certified cuts of the chain.
 
     Requires every pair source to have at least 2*len(pairs) out-neighbours
     in the union of the stage cuts.
@@ -505,10 +451,10 @@ def embed_via_cut_chain(
     u2_mask = 0
     m1: Dict[int, int] = {}
     m2: Dict[int, int] = {}
-    for st in chain.stages:
+    for st in chain:
         u_all |= mask_of(st.cut)
-        u1_mask |= mask_of(st.u_prime)
-        u2_mask |= mask_of(st.u_dprime)
+        u1_mask |= mask_of(st.m_prime)
+        u2_mask |= mask_of(st.m_dprime)
         m1.update(st.m_prime)
         m2.update(st.m_dprime)
 
@@ -560,7 +506,7 @@ def embed_via_cut_chain(
 
 @dataclass
 class CompleteRunDiagnostics:
-    chain: Optional[CutChain] = None
+    chain: Tuple[Cut, ...] = ()
     stages: List[dict] = field(default_factory=list)
     terminal: str = ""
     greedy_l1: int = 0
@@ -596,86 +542,58 @@ def _directed_triangle(t: Tournament) -> Optional[Tuple[int, int, int]]:
     return None
 
 
-def _fail(params: FinderParams, stage: str, reason: str, **details):
-    if params.paper_faithful:
-        raise RuntimeError(
-            f"paper-scale run failed at {stage}: {reason} "
-            f"(details: {details}) -- this indicates a bug or an unmet precondition"
-        )
-    return FailureTrace(stage=stage, reason=reason, details=details)
-
-
 def _run_pattern_driver(
     t: Tournament,
     pattern: PatternDigraph,
     params: FinderParams,
 ) -> Tuple[Union[Subdivision, FailureTrace], CompleteRunDiagnostics]:
-    """Shared driver: branch-set search, dichotomy, cut chain, completion."""
-    k = pattern.k
+    """Shared driver: a stage failure propagates at scale 1 and becomes the
+    run's FailureTrace on a scaled run."""
     diag = CompleteRunDiagnostics()
+    try:
+        return _embed_pattern(t, pattern, params, diag), diag
+    except StageFailure as exc:
+        if params.paper_faithful:
+            raise
+        return FailureTrace.from_error(exc), diag
+
+
+def _embed_pattern(
+    t: Tournament,
+    pattern: PatternDigraph,
+    params: FinderParams,
+    diag: CompleteRunDiagnostics,
+) -> Subdivision:
+    """Branch-set search, dichotomy, cut chain, completion."""
+    k = pattern.k
     universe = t.full_mask
-    stages: List[CutStage] = []
 
     for _round in range(t.n + 1):
-        diag.chain = CutChain(stages=tuple(stages), terminal=frozenset(bits_of(universe)))
         uni_size = universe.bit_count()
         if uni_size < k:
-            return _fail(params, "iterate", "working tournament shrank below k",
-                         size=uni_size), diag
+            raise TooSmall("working tournament shrank below k", stage="iterate", size=uni_size)
         peeled, kept = peel_low_outdegree(t, params, universe)
         info = {"universe": uni_size, "peeled": len(peeled)}
         if len(peeled) == k:
             # Terminal: k low-out-degree vertices become the branch set and
             # every needed pair routes through the cut chain.
             diag.terminal = "low-out-degree"
-            chain = CutChain(stages=tuple(stages), terminal=frozenset(bits_of(universe)))
-            diag.chain = chain
             branch = tuple(sorted(peeled))
             host_pairs = _needed_pairs(t, pattern, branch)
             diag.chain_pairs = len(host_pairs)
-            try:
-                wits = embed_via_cut_chain(t, branch, host_pairs, chain)
-            except InsufficientOutNeighbours as exc:
-                if params.paper_faithful:
-                    raise
-                return FailureTrace(
-                    stage="cut-chain-embedding",
-                    reason=str(exc),
-                    details={"vertex": exc.vertex, "have": exc.have, "need": exc.need},
-                ), diag
+            wits = embed_via_cut_chain(t, branch, host_pairs, diag.chain)
             path_map = {(w.from_v, w.to_v): w.internals for w in wits}
-            return _assemble(t, pattern, branch, path_map), diag
+            return _assemble(t, pattern, branch, path_map)
 
-        try:
-            balanced = find_balanced_set(t, params, kept)
-        except TooSmall as exc:
-            if params.paper_faithful:
-                raise
-            return FailureTrace(stage="balanced-set", reason=str(exc),
-                                details={"universe": kept.bit_count()}), diag
+        balanced = find_balanced_set(t, params, kept)
         info["alpha"] = float(balanced.alpha)
         info["m"] = balanced.m
 
         host_pairs = _needed_pairs(t, pattern, balanced.vertices)
-        try:
-            outcome = greedy_partial_subdivision(
-                t, balanced, forbidden=t.full_mask & ~kept, params=params,
-                pairs=host_pairs,
-            )
-        except CutInvalid as exc:
-            if params.paper_faithful:
-                raise
-            info["cut_invalid"] = exc.reason
-            diag.stages.append(info)
-            return FailureTrace(
-                stage="derive-cut",
-                reason=exc.reason,
-                details={
-                    "source": exc.source_size,
-                    "cut": exc.cut_size,
-                    "sink": exc.sink_size,
-                },
-            ), diag
+        outcome = greedy_partial_subdivision(
+            t, balanced, forbidden=t.full_mask & ~kept, params=params,
+            pairs=host_pairs,
+        )
 
         if isinstance(outcome, (CompleteEmbedding, PartialEmbedding)):
             state = outcome.state
@@ -686,56 +604,24 @@ def _run_pattern_driver(
                 "complete-greedy" if isinstance(outcome, CompleteEmbedding) else "partial"
             )
             diag.stages.append(info)
-            chain = CutChain(stages=tuple(stages), terminal=frozenset(bits_of(universe)))
-            diag.chain = chain
             branch = state.branch
             path_map = dict(state.paths)
             remaining = [p for p in host_pairs if p not in path_map]
             diag.chain_pairs = len(remaining)
             if remaining:
-                try:
-                    wits = embed_via_cut_chain(t, branch, remaining, chain)
-                except InsufficientOutNeighbours as exc:
-                    if params.paper_faithful:
-                        raise
-                    return FailureTrace(
-                        stage="cut-chain-embedding",
-                        reason=str(exc),
-                        details={"vertex": exc.vertex, "have": exc.have, "need": exc.need},
-                    ), diag
-                for w in wits:
+                for w in embed_via_cut_chain(t, branch, remaining, diag.chain):
                     path_map[(w.from_v, w.to_v)] = w.internals
-            return _assemble(t, pattern, branch, path_map), diag
+            return _assemble(t, pattern, branch, path_map)
 
         assert isinstance(outcome, CutOutcome)
         # Lift the cut from the peeled subtournament back to the full working
         # universe: peeled leftovers join the cut side.
-        raw = outcome.cut
-        lifted = CutSets(
-            cut=raw.cut | frozenset(peeled),
-            source=raw.source,
-            sink=raw.sink,
-        )
-        try:
-            certified = minimize_cut(t, lifted, k)
-        except RepairExhausted as exc:
-            if params.paper_faithful:
-                raise
-            return FailureTrace(stage="cut-repair", reason=str(exc), details={}), diag
+        lifted = replace(outcome.cut, cut=outcome.cut.cut | frozenset(peeled))
+        certified = minimize_cut(t, lifted, k)
         info["cut"] = len(certified.cut)
         info["source"] = len(certified.source)
         diag.stages.append(info)
-        stages.append(
-            CutStage(
-                universe=frozenset(bits_of(universe)),
-                cut=certified.cut,
-                source=certified.source,
-                u_prime=certified.u_prime,
-                u_dprime=certified.u_dprime,
-                m_prime=certified.m_prime,
-                m_dprime=certified.m_dprime,
-            )
-        )
+        diag.chain += (certified,)
         next_universe = universe & ~mask_of(certified.cut) & ~mask_of(certified.source)
         if next_universe.bit_count() >= universe.bit_count():
             raise RuntimeError("cut stage failed to shrink the working tournament")
@@ -793,16 +679,9 @@ def find_complete_subdivision_ex(
             raise RuntimeError("delta+ >= 1 tournament without a directed triangle")
         a, b, c = tri
         diag.terminal = "triangle"
+        # a -> b is an edge of the triangle; b -> c -> a covers the return.
         branch = (a, b) if a < b else (b, a)
-        pattern = pattern_complete_digraph(2)
-        path_map = {(a, b): (), (b, a): (c,)}
-        paths = {}
-        for u, v in pattern.edges:
-            hu, hv = branch[u], branch[v]
-            internals = path_map[(hu, hv)] if (hu, hv) in path_map else ()
-            paths[(u, v)] = PathWitness(hu, hv, internals)
-        # (a -> b is an edge of the triangle; b -> c -> a covers the return.)
-        return Subdivision(pattern=pattern, branch=branch, paths=paths), diag
+        return _assemble(t, pattern_complete_digraph(2), branch, {(b, a): (c,)}), diag
 
     if params.paper_faithful and min_out < params.min_out_degree:
         raise InfeasibleDegree(
@@ -843,14 +722,7 @@ def find_digraph_subdivision_ex(
         branch = [0, 0]
         branch[u], branch[v] = a, b
         diag.terminal = "single-edge"
-        return (
-            Subdivision(
-                pattern=pattern,
-                branch=tuple(branch),
-                paths={(u, v): PathWitness(a, b, ())},
-            ),
-            diag,
-        )
+        return _assemble(t, pattern, tuple(branch), {}), diag
     min_out = min(t.out_degree(v) for v in t.vertices()) if t.n else 0
     if params.paper_faithful and min_out < degree_factor * len(pattern.edges):
         raise InfeasibleDegree(

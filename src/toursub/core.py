@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "Tournament",
     "DegreeProfile",
-    "CutSplit",
+    "Cut",
     "generate",
     "random_tournament",
     "transitive_tournament",
@@ -301,15 +301,31 @@ def strong_components(t: Tournament, universe: Optional[int] = None) -> list:
 
 
 @dataclass(frozen=True)
-class CutSplit:
-    """A disconnecting set with the source/sink decomposition it induces."""
+class Cut:
+    """A disconnecting set U (``cut``) with the source S and sink it
+    separates: no edge runs from the sink into S.
+
+    A certified cut also carries two one-to-one matchings from disjoint
+    halves of U into S (a split half-matching), which prove that U expands
+    into S; they stay empty until ``minimize_cut`` certifies the cut.
+    """
 
     cut: frozenset
     source: frozenset
     sink: frozenset
+    m_prime: dict = field(default_factory=dict)
+    m_dprime: dict = field(default_factory=dict)
+
+    @property
+    def u_prime(self) -> frozenset:
+        return frozenset(self.m_prime)
+
+    @property
+    def u_dprime(self) -> frozenset:
+        return frozenset(self.m_dprime)
 
 
-def split_by_cut(t: Tournament, cut: Iterable[int], prefix: int = 1) -> Optional[CutSplit]:
+def split_by_cut(t: Tournament, cut: Iterable[int], prefix: int = 1) -> Optional[Cut]:
     """Source/sink decomposition of T minus ``cut``.
 
     Returns None iff the remainder is strongly connected.  The source is the
@@ -325,7 +341,20 @@ def split_by_cut(t: Tournament, cut: Iterable[int], prefix: int = 1) -> Optional
     prefix = max(1, min(prefix, len(comps) - 1))
     source = frozenset().union(*comps[:prefix])
     sink = frozenset().union(*comps[prefix:])
-    return CutSplit(cut=cut_set, source=source, sink=sink)
+    return Cut(cut=cut_set, source=source, sink=sink)
+
+
+def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
+    """Internals of an x -> y path of length 2 or 3 through ``avail``: the
+    lowest 2-path internal, else the lexicographically lowest 3-path."""
+    w = t.out_mask(x) & t.in_mask(y) & avail
+    if w:
+        return ((w & -w).bit_length() - 1,)
+    for z in bits_of(t.out_mask(x) & avail):
+        ww = t.out_mask(z) & t.in_mask(y) & avail & ~(1 << z)
+        if ww:
+            return (z, (ww & -ww).bit_length() - 1)
+    return None
 
 
 FORMAT_HEADER = "tournament v1"

@@ -17,44 +17,72 @@ class InfeasibleSize(ToursubError):
     """Host vertex count is below the finder's precondition."""
 
 
-class TooSmall(ToursubError):
-    """Tournament too small for the requested pigeonhole window."""
+class StageFailure(ToursubError):
+    """A threshold miss that ends a finder run at a named stage.
+
+    The finder turns it into the run's FailureTrace through
+    ``FailureTrace.from_error``; the complete-digraph driver lets it
+    propagate instead at scale 1, where the thresholds are guaranteed.
+    """
+
+    stage = ""
+
+    def __init__(self, reason: str, **details):
+        super().__init__(reason)
+        self.reason = reason
+        self.details = details
 
 
-class CutInvalid(ToursubError):
+class TooSmall(StageFailure):
+    """Tournament or working set too small for the stage that raises it."""
+
+    def __init__(self, reason: str, stage: str, **details):
+        super().__init__(reason, **details)
+        self.stage = stage
+
+
+class CutInvalid(StageFailure):
     """Derived cut fails a size/orientation requirement (scaled runs)."""
 
+    stage = "derive-cut"
+
     def __init__(self, reason: str, source_size: int, cut_size: int, sink_size: int):
-        super().__init__(
-            f"{reason} (|S|={source_size}, |U|={cut_size}, |sink|={sink_size})"
-        )
-        self.reason = reason
-        self.source_size = source_size
-        self.cut_size = cut_size
-        self.sink_size = sink_size
+        super().__init__(reason, source=source_size, cut=cut_size, sink=sink_size)
+
+    def __str__(self) -> str:
+        d = self.details
+        return f"{self.reason} (|S|={d['source']}, |U|={d['cut']}, |sink|={d['sink']})"
 
 
-class RepairExhausted(ToursubError):
+class RepairExhausted(StageFailure):
     """Cut repair would push the sink below the required size."""
 
+    stage = "cut-repair"
 
-class InsufficientOutNeighbours(ToursubError):
+
+class InsufficientOutNeighbours(StageFailure):
     """A branch vertex lacks the out-neighbours needed by the path embedding."""
 
+    stage = "cut-chain-embedding"
+
     def __init__(self, vertex: int, have: int, need: int):
-        super().__init__(f"vertex {vertex} has {have} out-neighbours, needs {need}")
+        super().__init__(f"vertex {vertex} has {have} out-neighbours, needs {need}",
+                         vertex=vertex, have=have, need=need)
         self.vertex = vertex
         self.have = have
         self.need = need
 
 
-class BallTooLarge(ToursubError):
+class BallTooLarge(StageFailure):
     """A BFS ball exceeds the separator procedure's size precondition."""
+
+    stage = "aux-graph-precondition"
 
     def __init__(self, vertex: int, radius: int, size: int, bound: float):
         super().__init__(
             f"ball of radius {radius} around {vertex} has {size} vertices,"
-            f" bound {bound:.3f}"
+            f" bound {bound:.3f}",
+            vertex=vertex, radius=radius, size=size,
         )
         self.vertex = vertex
         self.radius = radius
@@ -69,6 +97,12 @@ class FailureTrace:
     stage: str
     reason: str
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_error(cls, exc: StageFailure, **details) -> "FailureTrace":
+        """The trace of a stage failure: its stage, reason and details,
+        followed by any details the caller adds."""
+        return cls(stage=exc.stage, reason=exc.reason, details={**exc.details, **details})
 
     def to_json(self) -> dict:
         return {"stage": self.stage, "reason": self.reason, "details": dict(self.details)}

@@ -13,13 +13,13 @@ import io
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complete_finder import find_complete_subdivision_ex
 from .core import (
+    Cut,
     Tournament,
     blowup_cyclic_triangle,
     random_tournament,
@@ -36,10 +36,9 @@ __all__ = [
     "stacked_clusters",
     "build_host",
     "SWEEP_KINDS",
-    "ChainRecord",
-    "sweep_complete",
-    "sweep_tt3",
-    "sweep_onesub",
+    "VERIFY_CAPS",
+    "SWEEP_COLUMNS",
+    "sweep",
     "rows_to_csv",
     "write_csv",
     "csv_body",
@@ -139,217 +138,96 @@ TT_KINDS = ("random", "rotational", "blowup", "random", "triangles_sparse", "ran
 # sweeps
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    """One certified cut-chain stage observed during a sweep."""
-
-    instance: int
-    kind: str
-    stage: int
-    cut: frozenset
-    source: frozenset
-    u_prime: frozenset
-    u_dprime: frozenset
-    m_prime: dict
-    m_dprime: dict
-    host_seed: int
-    host_kind: str
-    host_n: int
-
-
-def _complete_instance(args) -> Tuple[dict, List[ChainRecord], Optional[str]]:
-    index, kind, n, k, scale_str, base_seed = args
-    scale = Fraction(scale_str)
-    seed = instance_seed(base_seed, index)
-    host = build_host(kind, n, seed)
-    params = FinderParams(k=k, scale=scale)
-    row = {
-        "instance": index,
-        "kind": kind,
-        "n": host.n,
-        "seed": seed,
-        "k": k,
-        "scale": scale_str,
-        "outcome": "",
-        "stage": "",
-        "verify_ok": "",
-        "l1": "",
-        "l2": "",
-        "span": "",
-        "chain_stages": 0,
-        "max_cut": 0,
-    }
-    chains: List[ChainRecord] = []
-    unsound: Optional[str] = None
-    try:
-        outcome, diag = find_complete_subdivision_ex(host, k, params)
-    except ToursubError as exc:
-        row["outcome"] = "error"
-        row["stage"] = type(exc).__name__
-        return row, chains, unsound
-    stages = diag.chain.stages if diag.chain else ()
-    row["chain_stages"] = len(stages)
-    row["max_cut"] = max((len(s.cut) for s in stages), default=0)
-    for i, st in enumerate(stages):
-        chains.append(
-            ChainRecord(
-                instance=index,
-                kind=kind,
-                stage=i,
-                cut=st.cut,
-                source=st.source,
-                u_prime=st.u_prime,
-                u_dprime=st.u_dprime,
-                m_prime=dict(st.m_prime),
-                m_dprime=dict(st.m_dprime),
-                host_seed=seed,
-                host_kind=kind,
-                host_n=host.n,
-            )
-        )
-    if isinstance(outcome, FailureTrace):
-        row["outcome"] = "failure"
-        row["stage"] = outcome.stage
-        return row, chains, unsound
-    report = verify(host, outcome, max_len=3)
-    two_internals = all(len(p.internals) <= 2 for p in outcome.paths.values())
-    row["outcome"] = "witness"
-    row["verify_ok"] = int(report.valid and two_internals)
-    row["l1"] = report.l1
-    row["l2"] = report.l2
-    row["span"] = report.span
-    if not (report.valid and two_internals):
-        unsound = f"instance {index}: {report.violations[:3]}"
-    return row, chains, unsound
-
-
-COMPLETE_COLUMNS = [
-    "instance", "kind", "n", "seed", "k", "scale", "outcome", "stage",
-    "verify_ok", "l1", "l2", "span", "chain_stages", "max_cut",
-]
-
-
-def sweep_complete(
-    k: int,
-    trials: int,
-    n: int,
-    scale: Fraction,
-    seed: int,
-    kinds: Sequence[str] = SWEEP_KINDS,
-    workers: int = 1,
-) -> Tuple[List[dict], List[ChainRecord], List[str]]:
-    """Run the complete-digraph finder across a seeded host mix.
-
-    Returns (csv rows, certified chain stages, soundness violations); the
-    violations list must come back empty.
-    """
-    jobs = [
-        (i, kinds[i % len(kinds)], n, k, str(scale), seed)
-        for i in range(trials)
-    ]
-    results = _run_jobs(_complete_instance, jobs, workers)
-    rows = [r for r, _, _ in results]
-    chains = [c for _, cs, _ in results for c in cs]
-    bad = [b for _, _, b in results if b]
-    return rows, chains, bad
-
-
-def _tt3_instance(args) -> Tuple[dict, Optional[str]]:
-    index, kind, n, k, scale_str, base_seed = args
-    scale = Fraction(scale_str)
-    seed = instance_seed(base_seed, index)
-    host = build_host(kind, n, seed)
-    params = FinderParams(k=k, scale=scale)
-    row = {
-        "instance": index, "kind": kind, "n": host.n, "seed": seed, "k": k,
-        "scale": scale_str, "outcome": "", "stage": "", "verify_ok": "",
-        "l1": "", "l2": "", "span": "",
-    }
-    try:
-        outcome = find_tt_len3(host, k, params)
-    except ToursubError as exc:
-        row["outcome"] = "error"
-        row["stage"] = type(exc).__name__
-        return row, None
-    if isinstance(outcome, FailureTrace):
-        row["outcome"] = "failure"
-        row["stage"] = outcome.stage
-        return row, None
-    report = verify(host, outcome, max_len=3)
-    row["outcome"] = "witness"
-    row["verify_ok"] = int(report.valid)
-    row["l1"] = report.l1
-    row["l2"] = report.l2
-    row["span"] = report.span
-    return row, (None if report.valid else f"instance {index}: {report.violations[:3]}")
-
-
-def _onesub_instance(args) -> Tuple[dict, Optional[str]]:
-    index, kind, n, k, scale_str, base_seed = args
-    scale = Fraction(scale_str)
-    seed = instance_seed(base_seed, index)
-    host = build_host(kind, n, seed)
-    params = FinderParams(k=k, scale=scale)
-    row = {
-        "instance": index, "kind": kind, "n": host.n, "seed": seed, "k": k,
-        "scale": scale_str, "outcome": "", "stage": "", "verify_ok": "",
-        "l1": "", "l2": "", "span": "",
-    }
-    try:
-        outcome = find_one_subdivision(host, k, params)
-    except ToursubError as exc:
-        row["outcome"] = "error"
-        row["stage"] = type(exc).__name__
-        return row, None
-    if isinstance(outcome, FailureTrace):
-        row["outcome"] = "failure"
-        row["stage"] = outcome.stage
-        return row, None
-    report = verify(host, outcome, max_len=2, exact_len=2)
-    row["outcome"] = "witness"
-    row["verify_ok"] = int(report.valid)
-    row["l1"] = report.l1
-    row["l2"] = report.l2
-    row["span"] = report.span
-    return row, (None if report.valid else f"instance {index}: {report.violations[:3]}")
-
+# Verify cap of each finder's witnesses: paths of length at most 3, or
+# exactly 2 for the 1-subdivision finder.
+VERIFY_CAPS = {
+    "complete": {"max_len": 3},
+    "digraph": {"max_len": 3},
+    "tt3": {"max_len": 3},
+    "onesub": {"max_len": 2, "exact_len": 2},
+}
 
 TT_COLUMNS = [
     "instance", "kind", "n", "seed", "k", "scale", "outcome", "stage",
     "verify_ok", "l1", "l2", "span",
 ]
 
+COMPLETE_COLUMNS = TT_COLUMNS + ["chain_stages", "max_cut"]
 
-def sweep_tt3(
+SWEEP_COLUMNS = {"complete": COMPLETE_COLUMNS, "tt3": TT_COLUMNS, "onesub": TT_COLUMNS}
+
+
+def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
+    """One sweep trial: (csv row, (index, certified cut) pairs of the cut
+    chain, soundness violation or None)."""
+    finder, index, kind, n, k, scale_str, base_seed = args
+    seed = instance_seed(base_seed, index)
+    host = build_host(kind, n, seed)
+    params = FinderParams(k=k, scale=Fraction(scale_str))
+    row = {
+        "instance": index, "kind": kind, "n": host.n, "seed": seed, "k": k,
+        "scale": scale_str, "outcome": "", "stage": "", "verify_ok": "",
+        "l1": "", "l2": "", "span": "",
+    }
+    chains: List[Tuple[int, Cut]] = []
+    try:
+        # Finders are looked up as module globals at call time, so
+        # instrumentation that rebinds them sees every call.
+        if finder == "complete":
+            row["chain_stages"] = row["max_cut"] = 0  # also on an error row
+            outcome, diag = find_complete_subdivision_ex(host, k, params)
+            chains = [(index, c) for c in diag.chain]
+            row["chain_stages"] = len(diag.chain)
+            row["max_cut"] = max((len(c.cut) for c in diag.chain), default=0)
+        elif finder == "tt3":
+            outcome = find_tt_len3(host, k, params)
+        else:
+            outcome = find_one_subdivision(host, k, params)
+    except ToursubError as exc:
+        row["outcome"] = "error"
+        row["stage"] = type(exc).__name__
+        return row, chains, None
+    if isinstance(outcome, FailureTrace):
+        row["outcome"] = "failure"
+        row["stage"] = outcome.stage
+        return row, chains, None
+    report = verify(host, outcome, **VERIFY_CAPS[finder])
+    row["outcome"] = "witness"
+    row["verify_ok"] = int(report.valid)
+    row["l1"] = report.l1
+    row["l2"] = report.l2
+    row["span"] = report.span
+    return row, chains, (None if report.valid else f"instance {index}: {report.violations[:3]}")
+
+
+def sweep(
+    finder: str,
     k: int,
     trials: int,
     n: int,
     scale: Fraction,
     seed: int,
-    kinds: Sequence[str] = TT_KINDS,
+    kinds: Optional[Sequence[str]] = None,
     workers: int = 1,
-) -> Tuple[List[dict], List[str]]:
-    jobs = [(i, kinds[i % len(kinds)], n, k, str(scale), seed) for i in range(trials)]
-    results = _run_jobs(_tt3_instance, jobs, workers)
-    rows = [r for r, _ in results]
-    bad = [b for _, b in results if b]
-    return rows, bad
+) -> Tuple[List[dict], List[Tuple[int, Cut]], List[str]]:
+    """Run one finder (complete, tt3 or onesub) across a seeded host mix.
 
-
-def sweep_onesub(
-    k: int,
-    trials: int,
-    n: int,
-    scale: Fraction,
-    seed: int,
-    kinds: Sequence[str] = TT_KINDS,
-    workers: int = 1,
-) -> Tuple[List[dict], List[str]]:
-    jobs = [(i, kinds[i % len(kinds)], n, k, str(scale), seed) for i in range(trials)]
-    results = _run_jobs(_onesub_instance, jobs, workers)
-    rows = [r for r, _ in results]
-    bad = [b for _, b in results if b]
-    return rows, bad
+    Returns (csv rows, (instance, certified cut) pairs of every cut chain,
+    soundness violations); the violations list must come back empty.  Only
+    the complete finder builds cut chains.
+    """
+    if finder not in SWEEP_COLUMNS:
+        raise ValueError(f"unknown sweep finder {finder!r}")
+    kinds = kinds or (SWEEP_KINDS if finder == "complete" else TT_KINDS)
+    jobs = [
+        (finder, i, kinds[i % len(kinds)], n, k, str(scale), seed)
+        for i in range(trials)
+    ]
+    results = _run_jobs(_instance, jobs, workers)
+    rows = [r for r, _, _ in results]
+    chains = [c for _, cs, _ in results for c in cs]
+    bad = [b for _, _, b in results if b]
+    return rows, chains, bad
 
 
 def _run_jobs(fn, jobs, workers: int):

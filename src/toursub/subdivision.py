@@ -253,29 +253,59 @@ def witness_to_json(t: Tournament, sub: Subdivision) -> dict:
     }
 
 
-def witness_from_json(doc: dict) -> Tuple[Subdivision, str]:
+def _vertex(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"witness {what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"witness {what} must be a list, got {value!r}")
+    return value
+
+
+def witness_from_json(doc) -> Tuple[Subdivision, str]:
     """Reconstruct a subdivision and the recorded host hash.
 
     Path endpoints are host vertices; the pattern edge each path realizes is
-    recovered through the (injective) branch map.
+    recovered through the (injective) branch map.  A document of any other
+    shape raises ValueError.
     """
-    pattern = PatternDigraph(
-        doc["pattern"]["k"], tuple(tuple(e) for e in doc["pattern"]["edges"])
-    )
-    branch = tuple(doc["branch"])
+    if not isinstance(doc, dict):
+        raise ValueError("witness must be a JSON object")
+    pattern_doc = doc.get("pattern")
+    if not isinstance(pattern_doc, dict):
+        raise ValueError("witness has no 'pattern' object")
+    edges = []
+    for edge in _list(pattern_doc.get("edges"), "pattern.edges"):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ValueError(f"witness pattern edge must be a pair, got {edge!r}")
+        edges.append((_vertex(edge[0], "pattern edge"), _vertex(edge[1], "pattern edge")))
+    pattern = PatternDigraph(_vertex(pattern_doc.get("k"), "pattern.k"), tuple(edges))
+    branch = tuple(_vertex(v, "branch entry") for v in _list(doc.get("branch"), "branch"))
     inverse = {v: i for i, v in enumerate(branch)}
     if len(inverse) != len(branch):
         raise ValueError("branch map is not injective")
     paths = {}
-    for entry in doc["paths"]:
-        u = inverse.get(entry["from"])
-        v = inverse.get(entry["to"])
+    for entry in _list(doc.get("paths"), "paths"):
+        if not isinstance(entry, dict):
+            raise ValueError(f"witness path must be an object, got {entry!r}")
+        from_v = _vertex(entry.get("from"), "path 'from'")
+        to_v = _vertex(entry.get("to"), "path 'to'")
+        internals = tuple(_vertex(w, "path internal")
+                          for w in _list(entry.get("internals"), "path internals"))
+        u = inverse.get(from_v)
+        v = inverse.get(to_v)
         if u is None or v is None:
-            raise ValueError(f"path endpoints {entry['from']},{entry['to']} not in branch")
+            raise ValueError(f"path endpoints {from_v},{to_v} not in branch")
         if (u, v) in paths:
             raise ValueError(f"duplicate path for pattern edge ({u},{v})")
-        paths[(u, v)] = PathWitness(entry["from"], entry["to"], tuple(entry["internals"]))
-    return Subdivision(pattern, branch, paths), doc.get("host_hash", "")
+        paths[(u, v)] = PathWitness(from_v, to_v, internals)
+    host_hash = doc.get("host_hash", "")
+    if not isinstance(host_hash, str):
+        raise ValueError(f"witness host_hash must be a string, got {host_hash!r}")
+    return Subdivision(pattern, branch, paths), host_hash
 
 
 def dump_witness(t: Tournament, sub: Subdivision) -> str:

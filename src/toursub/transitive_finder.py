@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Tournament, bits_of, induced, mask_of
+from .core import Tournament, _try_short_path, bits_of, induced, mask_of
 from .errors import BallTooLarge, FailureTrace, InfeasibleSize, TooSmall
 from .params import FinderParams
 from .subdivision import PathWitness, Subdivision, pattern_transitive
@@ -78,13 +78,15 @@ def find_nearly_regular(t: Tournament) -> NearlyRegularSet:
     generators produce; a violation raises, so callers can surface it.
     """
     if t.n < 10:
-        raise TooSmall("nearly-regular extraction needs at least 10 vertices")
+        raise TooSmall("nearly-regular extraction needs at least 10 vertices",
+                       stage="nearly-regular")
     out_side, in_side = _ratio_set(t)
     ratio_count = len(set(out_side) | set(in_side))
     if 5 * ratio_count < t.n:
         raise TooSmall(
             f"bounded-ratio set has {ratio_count} < n/5 vertices; "
-            "host is too lopsided for the nearly-regular argument"
+            "host is too lopsided for the nearly-regular argument",
+            stage="nearly-regular",
         )
     if len(out_side) >= len(in_side):
         return NearlyRegularSet(tuple(out_side), RATIO_BOUND, "out")
@@ -97,7 +99,8 @@ def find_nearly_regular_k(t: Tournament, k: int) -> NearlyRegularSet:
     if k < 1:
         raise ValueError("k must be positive")
     if t.n < DEGREE_WINDOW_FACTOR * k:
-        raise TooSmall(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}")
+        raise TooSmall(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
+                       stage="nearly-regular")
     base_set = find_nearly_regular(t)
     width = DEGREE_WINDOW_FACTOR * k
     start = 0
@@ -111,22 +114,12 @@ def find_nearly_regular_k(t: Tournament, k: int) -> NearlyRegularSet:
                 m=start + width // 2,
             )
         start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices")
+    raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
+                   stage="nearly-regular")
 
 
 # ---------------------------------------------------------------------------
 # length-<=3 transitive subdivisions
-
-
-def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
-    w = t.out_mask(x) & t.in_mask(y) & avail
-    if w:
-        return ((w & -w).bit_length() - 1,)
-    for z in bits_of(t.out_mask(x) & avail):
-        ww = t.out_mask(z) & t.in_mask(y) & avail & ~(1 << z)
-        if ww:
-            return (z, (ww & -ww).bit_length() - 1)
-    return None
 
 
 def find_tt_len3(
@@ -161,7 +154,7 @@ def _tt3_recurse(t: Tournament, k: int, params: FinderParams) -> Union[Subdivisi
     try:
         near = find_nearly_regular_k(t, k)
     except TooSmall as exc:
-        return FailureTrace(stage="nearly-regular", reason=str(exc), details={"n": t.n, "k": k})
+        return FailureTrace.from_error(exc, n=t.n, k=k)
 
     # Branch order: non-increasing out-degree inside the branch set, so
     # forward host edges double as length-1 paths wherever possible.
@@ -539,11 +532,7 @@ def _onesub_recurse(t: Tournament, k: int, params: FinderParams) -> Union[Subdiv
     try:
         decomp = ball_decomposition(g)
     except BallTooLarge as exc:
-        return FailureTrace(
-            stage="aux-graph-precondition",
-            reason=str(exc),
-            details={"vertex": exc.vertex, "radius": exc.radius, "size": exc.size},
-        )
+        return FailureTrace.from_error(exc)
     part = partition_components(t, [sorted(c) for c in decomp.components])
 
     k_first = -(-k // 2)  # ceil(k/2): top half of the degree order

@@ -27,9 +27,7 @@ from toursub.experiments import (
     TT_COLUMNS,
     csv_body,
     instance_seed,
-    sweep_complete,
-    sweep_onesub,
-    sweep_tt3,
+    sweep,
 )
 from toursub.matching import HalfMatching, half_matching, hall_half_condition
 from toursub.oracle import OracleQuery, exhaustive_tournaments, oracle_subdivision, scan_d_lower
@@ -147,16 +145,16 @@ def test_acceptance_5_cut_chain_certificates():
     splits validated for all of them."""
     from toursub.experiments import build_host
 
-    rows, chains, bad = sweep_complete(
-        k=3, trials=100, n=210, scale=Fraction(1, 96), seed=55
+    rows, chains, bad = sweep(
+        "complete", k=3, trials=100, n=210, scale=Fraction(1, 96), seed=55
     )
     assert bad == []
     assert chains, "sweep produced no cut-chain stages to certify"
-    nonempty = [c for c in chains if c.cut]
+    nonempty = [c for _, c in chains if c.cut]
     assert nonempty, "sweep produced only empty cut sets"
     checked_exhaustively = 0
-    for rec in chains:
-        host = build_host(rec.host_kind, 210, rec.host_seed)
+    for instance, rec in chains:
+        host = build_host(rows[instance]["kind"], 210, rows[instance]["seed"])
         assert rec.u_prime | rec.u_dprime == rec.cut
         assert not (rec.u_prime & rec.u_dprime)
         for matching in (rec.m_prime, rec.m_dprime):
@@ -177,32 +175,32 @@ def test_acceptance_6_finder_soundness_sweeps():
     at its promised cap; rates are reported, never asserted."""
     lines = []
 
-    total_rows, chains, bad = sweep_complete(
-        k=2, trials=100, n=240, scale=Fraction(1, 96), seed=21
+    total_rows, chains, bad = sweep(
+        "complete", k=2, trials=100, n=240, scale=Fraction(1, 96), seed=21
     )
     assert bad == []
     wit = sum(1 for r in total_rows if r["outcome"] == "witness")
     assert all(r["verify_ok"] == 1 for r in total_rows if r["outcome"] == "witness")
     lines.append(f"complete k=2: {wit}/100")
 
-    rows, chains, bad = sweep_complete(
-        k=3, trials=100, n=240, scale=Fraction(1, 96), seed=22
+    rows, chains, bad = sweep(
+        "complete", k=3, trials=100, n=240, scale=Fraction(1, 96), seed=22
     )
     assert bad == []
     wit = sum(1 for r in rows if r["outcome"] == "witness")
     lines.append(f"complete k=3: {wit}/100")
 
     for k in (2, 3, 4, 5, 6):
-        rows, bad = sweep_tt3(
-            k=k, trials=100, n=max(80, 15 * k * k), scale=Fraction(1, 12), seed=30 + k
+        rows, _, bad = sweep(
+            "tt3", k=k, trials=100, n=max(80, 15 * k * k), scale=Fraction(1, 12), seed=30 + k
         )
         assert bad == []
         wit = sum(1 for r in rows if r["outcome"] == "witness")
         lines.append(f"tt3 k={k}: {wit}/100")
 
     for k in (2, 3, 4):
-        rows, bad = sweep_onesub(
-            k=k, trials=100, n=140 * k, scale=Fraction(1, 16), seed=40 + k
+        rows, _, bad = sweep(
+            "onesub", k=k, trials=100, n=140 * k, scale=Fraction(1, 16), seed=40 + k
         )
         assert bad == []
         wit = sum(1 for r in rows if r["outcome"] == "witness")
@@ -369,13 +367,13 @@ def test_acceptance_9_blowup_remark_at_checked_size():
 def test_acceptance_10_sweep_determinism():
     """Identical configs reproduce identical CSV bodies."""
     args = dict(k=3, trials=25, n=180, scale=Fraction(1, 96), seed=71)
-    rows1, _, _ = sweep_complete(**args)
-    rows2, _, _ = sweep_complete(**args)
+    rows1, _, _ = sweep("complete", **args)
+    rows2, _, _ = sweep("complete", **args)
     assert csv_body(rows1, COMPLETE_COLUMNS) == csv_body(rows2, COMPLETE_COLUMNS)
 
     targs = dict(k=4, trials=25, n=240, scale=Fraction(1, 12), seed=72)
-    trows1, _ = sweep_tt3(**targs)
-    trows2, _ = sweep_tt3(**targs)
+    trows1, _, _ = sweep("tt3", **targs)
+    trows2, _, _ = sweep("tt3", **targs)
     assert csv_body(trows1, TT_COLUMNS) == csv_body(trows2, TT_COLUMNS)
 
     # scan-dk repeats identically apart from the wall-clock column

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toursub.cli import main
 from toursub.core import parse_tournament, rotational_tournament
 
@@ -103,14 +105,21 @@ def test_find_digraph_pattern(tmp_path):
     assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 0
 
 
-def test_experiment_soundness_sweep_csv(tmp_path):
+SWEEP_ARGS = {
+    "complete": ["--k", "3", "--n", "120", "--scale", "1/96"],
+    "tt3": ["--k", "4", "--n", "170", "--scale", "1/12"],
+    "onesub": ["--k", "3", "--n", "170", "--scale", "1/12"],
+}
+
+
+@pytest.mark.parametrize("finder", sorted(SWEEP_ARGS))
+def test_experiment_soundness_sweep_csv(tmp_path, finder):
     out = tmp_path / "s.csv"
-    code = run(["experiment", "soundness-sweep", "--finder", "complete",
-                "--k", "3", "--trials", "6", "--n", "120",
-                "--scale", "1/96", "--seed", "1", "--out", str(out)])
+    code = run(["experiment", "soundness-sweep", "--finder", finder, *SWEEP_ARGS[finder],
+                "--trials", "6", "--seed", "1", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("# schema: soundness-complete-v1")
+    assert lines[0].startswith(f"# schema: soundness-{finder}-v1")
     assert lines[1].startswith("# config:")
     assert lines[2].startswith("# generated:")
     assert lines[3].split(",")[0] == "instance"
@@ -128,13 +137,41 @@ def test_experiment_scan_dk_csv(tmp_path):
     assert len(lines) == 4 + 6
 
 
-def test_experiment_tt_span_csv(tmp_path):
-    out = tmp_path / "span.csv"
-    code = run(["experiment", "tt-span", "--k", "4", "--trials", "4",
-                "--n", "170", "--scale", "1/12", "--seed", "2",
-                "--out", str(out)])
-    assert code == 0
-    assert out.read_text().splitlines()[0].startswith("# schema: tt-span-v1")
+def test_experiment_bad_host_size_is_an_error(tmp_path, capsys):
+    code = run(["experiment", "soundness-sweep", "--n", "abc",
+                "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+GOOD_WITNESS = {"pattern": {"k": 2, "edges": [[0, 1], [1, 0]]}, "branch": [0, 1],
+                "paths": [{"from": 0, "to": 1, "internals": []},
+                          {"from": 1, "to": 0, "internals": [11]}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"branch": [0, 1], "paths": []},
+    dict(GOOD_WITNESS, branch=["0", 1], paths=[{"from": "0", "to": 1, "internals": []},
+                                               {"from": 1, "to": "0", "internals": [11]}]),
+    [GOOD_WITNESS],
+    dict(GOOD_WITNESS, branch=[0, True]),
+    dict(GOOD_WITNESS, pattern={"k": 2}),
+    dict(GOOD_WITNESS, pattern={"k": "2", "edges": [[0, 1], [1, 0]]}),
+    dict(GOOD_WITNESS, pattern={"k": 2, "edges": [[0, 1, 2]]}),
+    dict(GOOD_WITNESS, paths=[{"from": 0, "to": 1}]),
+    dict(GOOD_WITNESS, paths=[{"from": 0, "to": 1, "internals": [2.5]}]),
+    dict(GOOD_WITNESS, paths=[[0, 1, []]]),
+    dict(GOOD_WITNESS, host_hash=7),
+])
+def test_verify_malformed_witness_is_an_error(tmp_path, capsys, doc):
+    host = tmp_path / "t.txt"
+    wit = tmp_path / "w.json"
+    run(["gen", "--kind", "rotational", "--n", "21", "--out", str(host)])
+    wit.write_text(json.dumps(GOOD_WITNESS))
+    assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 0
+    wit.write_text(json.dumps(doc))
+    assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bad_input_file_is_an_error(tmp_path):

@@ -5,10 +5,7 @@ import pytest
 from toursub.complete_finder import (
     BalancedSet,
     CompleteEmbedding,
-    CutChain,
     CutOutcome,
-    CutSets,
-    CutStage,
     GreedyPartial,
     PartialEmbedding,
     derive_cut,
@@ -26,6 +23,7 @@ from toursub.complete_finder import (
     validate_cut,
 )
 from toursub.core import (
+    Cut,
     Tournament,
     blowup_cyclic_triangle,
     mask_of,
@@ -208,7 +206,7 @@ MINCUT_HOST = Tournament([10, 12, 9, 48, 39, 7])
 def test_minimize_cut_violator_replacement():
     # U = {0,1,2} reaches only {3} inside S = {3,4}: the violator replacement
     # swaps U for {3}, and the certificate then matches 3 -> 4.
-    cut = CutSets(cut=frozenset({0, 1, 2}), source=frozenset({3, 4}), sink=frozenset({5}))
+    cut = Cut(cut=frozenset({0, 1, 2}), source=frozenset({3, 4}), sink=frozenset({5}))
     cert = minimize_cut(MINCUT_HOST, cut, k=1)
     assert cert.cut == {3}
     assert cert.source == {4}
@@ -217,7 +215,7 @@ def test_minimize_cut_violator_replacement():
 
 def test_minimize_cut_fixpoint_when_expanding():
     t = transitive_tournament(4)  # 0 -> everything
-    cut = CutSets(cut=frozenset({1}), source=frozenset({2}), sink=frozenset({3}))
+    cut = Cut(cut=frozenset({1}), source=frozenset({2}), sink=frozenset({3}))
     cert = minimize_cut(t, cut, k=1)
     assert cert.cut == {1} and cert.source == {2}
     assert cert.m_prime == {1: 2}
@@ -291,32 +289,16 @@ def _two_pair_host():
 
 
 def test_embed_single_pair():
-    stage = CutStage(
-        universe=frozenset(range(5)),
-        cut=frozenset({2, 4}),
-        source=frozenset({3}),
-        u_prime=frozenset({2}),
-        u_dprime=frozenset({4}),
-        m_prime={2: 3},
-        m_dprime={4: 3},
-    )
-    chain = CutChain(stages=(stage,), terminal=frozenset({0, 1}))
+    chain = (Cut(cut=frozenset({2, 4}), source=frozenset({3}), sink=frozenset({0, 1}),
+                 m_prime={2: 3}, m_dprime={4: 3}),)
     wits = embed_via_cut_chain(EMBED_ONE, [0, 1], [(0, 1)], chain)
     assert [(w.from_v, w.internals, w.to_v) for w in wits] == [(0, (2, 3), 1)]
 
 
 def test_embed_two_pairs_sharing_source():
     t = _two_pair_host()
-    stage = CutStage(
-        universe=frozenset(range(9)),
-        cut=frozenset({3, 4, 5, 6}),
-        source=frozenset({7, 8}),
-        u_prime=frozenset({3, 5}),
-        u_dprime=frozenset({4, 6}),
-        m_prime={3: 7, 5: 8},
-        m_dprime={4: 7, 6: 8},
-    )
-    chain = CutChain(stages=(stage,), terminal=frozenset({0, 1, 2}))
+    chain = (Cut(cut=frozenset({3, 4, 5, 6}), source=frozenset({7, 8}),
+                 sink=frozenset({0, 1, 2}), m_prime={3: 7, 5: 8}, m_dprime={4: 7, 6: 8}),)
     wits = embed_via_cut_chain(t, [0, 1, 2], [(0, 1), (0, 2)], chain)
     assert [(w.from_v, w.internals, w.to_v) for w in wits] == [
         (0, (3, 7), 1),
@@ -334,16 +316,8 @@ def test_embed_two_pairs_sharing_source():
 
 
 def test_embed_insufficient_out_neighbours():
-    stage = CutStage(
-        universe=frozenset(range(5)),
-        cut=frozenset({2}),
-        source=frozenset({3}),
-        u_prime=frozenset({2}),
-        u_dprime=frozenset(),
-        m_prime={2: 3},
-        m_dprime={},
-    )
-    chain = CutChain(stages=(stage,), terminal=frozenset({0, 1}))
+    chain = (Cut(cut=frozenset({2}), source=frozenset({3}), sink=frozenset({0, 1}),
+                 m_prime={2: 3}),)
     with pytest.raises(InsufficientOutNeighbours) as info:
         embed_via_cut_chain(EMBED_ONE, [0, 1], [(0, 1)], chain)
     assert info.value.vertex == 0 and info.value.have == 1 and info.value.need == 2
@@ -403,8 +377,7 @@ def test_chain_stages_are_certified_on_structured_hosts():
     for seed in range(10):
         t = stacked_triangles(60, 0.05, 2, seed)
         out, diag = find_complete_subdivision_ex(t, 3, params)
-        stages = diag.chain.stages if diag.chain else ()
-        for st in stages:
+        for st in diag.chain:
             assert st.u_prime | st.u_dprime == st.cut
             if st.cut:
                 saw_nonempty = True

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toursub.core import (
-    CutSplit,
+    Cut,
     Tournament,
     bits_of,
     blowup_cyclic_triangle,
@@ -208,7 +208,7 @@ def _reachable(t, start, universe):
 def test_split_by_cut_examples():
     assert split_by_cut(cyclic_triangle(), []) is None
     cut = split_by_cut(transitive_tournament(3), [1])
-    assert cut == CutSplit(cut=frozenset({1}), source=frozenset({0}), sink=frozenset({2}))
+    assert cut == Cut(cut=frozenset({1}), source=frozenset({0}), sink=frozenset({2}))
 
     b = blowup_cyclic_triangle(2)
     # Independent strong-connectivity check: the class cycle reaches all.

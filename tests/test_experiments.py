@@ -1,7 +1,11 @@
+import ast
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toursub.experiments
 from toursub.experiments import (
     COMPLETE_COLUMNS,
     build_host,
@@ -10,9 +14,7 @@ from toursub.experiments import (
     rows_to_csv,
     stacked_clusters,
     stacked_triangles,
-    sweep_complete,
-    sweep_onesub,
-    sweep_tt3,
+    sweep,
 )
 
 
@@ -40,8 +42,8 @@ def test_structured_hosts_are_deterministic():
 
 
 def test_sweep_complete_rows_and_soundness():
-    rows, chains, bad = sweep_complete(
-        k=3, trials=12, n=150, scale=Fraction(1, 96), seed=3
+    rows, chains, bad = sweep(
+        "complete", k=3, trials=12, n=150, scale=Fraction(1, 96), seed=3
     )
     assert bad == []
     assert [r["instance"] for r in rows] == list(range(12))
@@ -56,19 +58,19 @@ def test_sweep_complete_rows_and_soundness():
 
 def test_sweep_determinism_and_worker_independence():
     args = dict(k=3, trials=8, n=120, scale=Fraction(1, 96), seed=9)
-    rows1, _, _ = sweep_complete(**args)
-    rows2, _, _ = sweep_complete(**args)
+    rows1, _, _ = sweep("complete", **args)
+    rows2, _, _ = sweep("complete", **args)
     assert csv_body(rows1, COMPLETE_COLUMNS) == csv_body(rows2, COMPLETE_COLUMNS)
-    rows3, _, _ = sweep_complete(**args, workers=2)
+    rows3, _, _ = sweep("complete", **args, workers=2)
     assert csv_body(rows1, COMPLETE_COLUMNS) == csv_body(rows3, COMPLETE_COLUMNS)
 
 
 def test_sweep_tt3_and_onesub():
-    rows, bad = sweep_tt3(k=4, trials=6, n=170, scale=Fraction(1, 12), seed=2)
-    assert bad == []
+    rows, chains, bad = sweep("tt3", k=4, trials=6, n=170, scale=Fraction(1, 12), seed=2)
+    assert bad == [] and chains == []
     assert len(rows) == 6
-    rows, bad = sweep_onesub(k=3, trials=6, n=170, scale=Fraction(1, 12), seed=2)
-    assert bad == []
+    rows, chains, bad = sweep("onesub", k=3, trials=6, n=170, scale=Fraction(1, 12), seed=2)
+    assert bad == [] and chains == []
     wit = [r for r in rows if r["outcome"] == "witness"]
     assert all(r["verify_ok"] == 1 for r in wit)
 
@@ -83,3 +85,39 @@ def test_csv_header_and_body():
     assert lines[3] == "1,x"
     # body is stable
     assert csv_body(rows, ["a", "b"]) == csv_body(rows, ["a", "b"])
+
+
+def _benchmark_layers():
+    """The ``LAYERS`` tuple of the benchmark's span tracer, read from its
+    source without importing the benchmark."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no LAYERS")
+
+
+def test_benchmark_layers_resolve():
+    layers = _benchmark_layers()
+    assert layers
+    for layer in layers:
+        module_name, func_name = layer.rsplit(".", 1)
+        module = importlib.import_module(f"toursub.{module_name}")
+        assert callable(getattr(module, func_name, None)), layer
+
+
+def test_sweep_calls_finders_through_module_globals(monkeypatch):
+    # The benchmark's tracer rebinds module attributes; the sweep must look
+    # its finders up there at call time to be seen.
+    calls = []
+    real = toursub.experiments.find_tt_len3
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toursub.experiments, "find_tt_len3", counting)
+    rows, _, bad = sweep("tt3", k=3, trials=2, n=90, scale=Fraction(1, 12), seed=4)
+    assert calls == [3, 3]
+    assert bad == [] and len(rows) == 2

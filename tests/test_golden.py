@@ -45,18 +45,20 @@ def _outcome_text(host, outcome):
     return dump_witness(host, outcome)
 
 
-def _complete(host, k, scale):
-    return find_complete_subdivision_ex(host, k, FinderParams(k, Fraction(scale)))
-
-
-def _digraph(host, spec, scale):
-    pattern = parse_pattern(spec)
-    return find_digraph_subdivision_ex(host, pattern, FinderParams(pattern.k, Fraction(scale)))
-
-
-def _chain_cuts(diag):
-    # the certified cuts of a run, in chain order
-    return getattr(diag.chain, "stages", diag.chain) or ()
+def _run(finder, host, arg, scale):
+    """(outcome, certified cuts of the run or None) for one corpus entry."""
+    if finder == "complete":
+        outcome, diag = find_complete_subdivision_ex(host, arg, FinderParams(arg, Fraction(scale)))
+    elif finder == "digraph":
+        pattern = parse_pattern(arg)
+        outcome, diag = find_digraph_subdivision_ex(
+            host, pattern, FinderParams(pattern.k, Fraction(scale)))
+    else:
+        fn = find_tt_len3 if finder == "tt3" else find_one_subdivision
+        return fn(host, arg, FinderParams(arg, Fraction(scale))), None
+    # certified cuts in chain order: ``diag.chain`` is a tuple of them, or an
+    # object that holds them in ``stages``
+    return outcome, getattr(diag.chain, "stages", diag.chain) or ()
 
 
 # label -> (finder, host factory, k or pattern, scale)
@@ -111,13 +113,9 @@ CORPUS = {
 def _golden_text(finder, host, arg, scale):
     """The bytes pinned for one corpus entry: the witness or the trace, and
     for the cut-chain drivers the certified cuts of the run."""
-    if finder in ("complete", "digraph"):
-        run = _complete if finder == "complete" else _digraph
-        outcome, diag = run(host, arg, scale)
-        chain = [_cut_tuple(c) for c in _chain_cuts(diag)]
-        return _outcome_text(host, outcome) + json.dumps(chain)
-    fn = find_tt_len3 if finder == "tt3" else find_one_subdivision
-    return _outcome_text(host, fn(host, arg, FinderParams(arg, Fraction(scale))))
+    outcome, chain = _run(finder, host, arg, scale)
+    text = _outcome_text(host, outcome)
+    return text if chain is None else text + json.dumps([_cut_tuple(c) for c in chain])
 
 
 GOLDEN = {
@@ -175,12 +173,7 @@ def test_golden_outcome(label):
 def test_golden_corpus_reaches_every_reachable_stage():
     stages = set()
     for finder, make_host, arg, scale in CORPUS.values():
-        host = make_host()
-        if finder in ("complete", "digraph"):
-            outcome, _ = (_complete if finder == "complete" else _digraph)(host, arg, scale)
-        else:
-            fn = find_tt_len3 if finder == "tt3" else find_one_subdivision
-            outcome = fn(host, arg, FinderParams(arg, Fraction(scale)))
+        outcome, _ = _run(finder, make_host(), arg, scale)
         if isinstance(outcome, FailureTrace):
             stages.add((finder, outcome.stage))
     for stage in ("derive-cut", "balanced-set", "cut-chain-embedding"):
