@@ -13,6 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
@@ -100,13 +101,7 @@ class Tournament:
                 raise ValueError(f"self-loop at vertex {i}")
             if self._out[i] >> self.n:
                 raise ValueError(f"row {i} has bits beyond vertex count")
-        for i in range(self.n):
-            for j in bits_of(self._out[i]):
-                if (self._out[j] >> i) & 1:
-                    raise ValueError(f"both directions present between {i} and {j}")
-        total = sum(r.bit_count() for r in self._out)
-        if total != self.n * (self.n - 1) // 2:
-            raise ValueError("orientation is not total")
+        _check_orientation(list(_format_rows(self)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tournament) and self._out == other._out
@@ -358,21 +353,78 @@ def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple
 
 
 FORMAT_HEADER = "tournament v1"
+_SWAP01 = str.maketrans("01", "10")
+_COLUMN_BLOCK = 128
+
+
+def _format_rows(t: Tournament) -> Iterator[str]:
+    """Matrix rows of the text format: character j of row i is ``1`` iff
+    i -> j, with ``-`` on the diagonal.  One C-level ``format`` per row."""
+    n = t.n
+    spec = f"0{n}b"
+    full = t.full_mask
+    for i, mask in enumerate(t._out):
+        row = format(mask & full, spec)[::-1]
+        yield row[:i] + "-" + row[i + 1:]
+
+
+def _check_orientation(rows: Sequence[str]) -> None:
+    """Antisymmetry and totality of a matrix of well-formed rows (``-`` on
+    the diagonal, ``0``/``1`` elsewhere): each row, with 0 and 1 swapped,
+    must equal its column.
+
+    Reports the pair with both directions at the smallest row, then the
+    smallest column, before any missing pair.
+    """
+    not_total = False
+    for i, (row, col) in enumerate(zip(rows, _columns(rows))):
+        if row.translate(_SWAP01) == col:
+            continue
+        both = _row_mask(row, i) & _row_mask(col, i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise ValueError(f"both directions present between {i} and {j}")
+        not_total = True
+    if not_total:
+        raise ValueError("orientation is not total")
+
+
+def _columns(rows: Sequence[str]) -> Iterator[str]:
+    """Columns of a square matrix, in order.  Each block of columns is cut
+    from one block-wide string by strided slicing, so no Python step runs
+    per entry and no second full-size copy of the matrix is held."""
+    n = len(rows)
+    for lo in range(0, n, _COLUMN_BLOCK):
+        width = min(_COLUMN_BLOCK, n - lo)
+        block = "".join(map(itemgetter(slice(lo, lo + width)), rows))
+        for j in range(width):
+            yield block[j::width]
+
+
+def _row_mask(row: str, i: int) -> int:
+    """Bitmask of the ``1`` positions of a well-formed row ``i``."""
+    return int((row[:i] + "0" + row[i + 1:])[::-1], 2)
+
+
+def _parse_row(row: str, i: int, n: int) -> int:
+    """Bitmask of matrix row ``i``.  A row of length n with ``-`` at i and
+    n-1 binary digits elsewhere is recognised by C-level counts; any other
+    row is scanned per character to name its first bad entry."""
+    if not (len(row) == n and row[i] == "-" and row.count("0") + row.count("1") == n - 1):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for j, ch in enumerate(row):
+            if i == j:
+                if ch != "-":
+                    raise ValueError(f"diagonal entry ({i},{j}) must be '-'")
+            elif ch != "0" and ch != "1":
+                raise ValueError(f"bad character {ch!r} at ({i},{j})")
+    return _row_mask(row, i)
 
 
 def format_tournament(t: Tournament) -> str:
-    lines = [FORMAT_HEADER, str(t.n)]
-    for i in range(t.n):
-        row = []
-        for j in range(t.n):
-            if i == j:
-                row.append("-")
-            elif t.has_edge(i, j):
-                row.append("1")
-            else:
-                row.append("0")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    # The trailing "" ends the text with a newline without a second copy.
+    return "\n".join([FORMAT_HEADER, str(t.n), *_format_rows(t), ""])
 
 
 def parse_tournament(text: str) -> Tournament:
@@ -388,22 +440,14 @@ def parse_tournament(text: str) -> Tournament:
     if len(lines) != n + 2:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
     rows = [ln.strip() for ln in lines[2:]]
-    out = [0] * n
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for j, ch in enumerate(row):
-            if i == j:
-                if ch != "-":
-                    raise ValueError(f"diagonal entry ({i},{j}) must be '-'")
-            elif ch == "1":
-                out[i] |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"bad character {ch!r} at ({i},{j})")
-    t = Tournament(out)
-    t.validate()
-    return t
+    out = [_parse_row(row, i, n) for i, row in enumerate(rows)]
+    _check_orientation(rows)
+    return Tournament(out)
 
 
 def tournament_hash(t: Tournament) -> str:
-    return hashlib.sha256(format_tournament(t).encode()).hexdigest()
+    """sha256 of the exact ``format_tournament`` bytes, streamed row by row."""
+    h = hashlib.sha256(f"{FORMAT_HEADER}\n{t.n}\n".encode())
+    for row in _format_rows(t):
+        h.update(f"{row}\n".encode())
+    return h.hexdigest()

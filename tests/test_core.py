@@ -252,24 +252,30 @@ def test_split_by_cut_prefix():
 
 
 def test_format_parse_round_trip():
-    for t in (cyclic_triangle(), transitive_tournament(6), random_tournament(17, 3)):
+    for t in (Tournament([0]), cyclic_triangle(), transitive_tournament(6), random_tournament(17, 3)):
         assert parse_tournament(format_tournament(t)) == t
 
 
 def test_parse_errors():
     good = format_tournament(transitive_tournament(3))
-    with pytest.raises(ValueError):
-        parse_tournament(good.replace("tournament v1", "tournament v2"))
-    with pytest.raises(ValueError):
-        parse_tournament("tournament v1\n2\n-x\n0-\n")
-    # both directions claimed
-    with pytest.raises(ValueError):
-        parse_tournament("tournament v1\n2\n-1\n1-\n")
-    # diagonal must be '-'
-    with pytest.raises(ValueError):
-        parse_tournament("tournament v1\n2\n11\n0-\n")
-    with pytest.raises(ValueError):
-        parse_tournament("tournament v1\n3\n-10\n0-1\n")
+    cases = [
+        (good.replace("tournament v1", "tournament v2"), "missing 'tournament v1' header"),
+        ("tournament v1\n2\n-x\n0-\n", r"bad character 'x' at \(0,1\)"),
+        # both directions claimed
+        ("tournament v1\n2\n-1\n1-\n", "both directions present between 0 and 1"),
+        # diagonal must be '-'
+        ("tournament v1\n2\n11\n0-\n", r"diagonal entry \(0,0\) must be '-'"),
+        # two rows of the right length for n=3: the row count is what is wrong
+        ("tournament v1\n3\n-10\n0-1\n", "expected 3 matrix rows, found 2"),
+        ("tournament v1\n3\n-1\n0-1\n00-\n", "row 0 has length 2, expected 3"),
+        ("tournament v1\n2\n-0\n0-\n", "orientation is not total"),
+        ("tournament v1\n1\n-\n-\n", "expected 1 matrix rows, found 2"),
+        ("tournament v1\nthree\n-\n", "bad vertex count line"),
+        ("tournament v1\n", "bad vertex count line"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_tournament(text)
 
 
 def test_hash_is_stable_and_distinguishes():

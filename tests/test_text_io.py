@@ -1,0 +1,218 @@
+"""Tournament text format: the row-wise format, hash, parser and
+``Tournament.validate`` against a per-character reference.
+
+The reference functions below are the per-character implementations the
+row-wise ones replaced.  The parser must return the same tournament, or
+raise ``ValueError`` with the same message, on every input.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toursub.core import (
+    FORMAT_HEADER,
+    Tournament,
+    bits_of,
+    format_tournament,
+    parse_tournament,
+    random_tournament,
+    rotational_tournament,
+    tournament_hash,
+)
+
+# sha256 of format_tournament on hosts wider than the golden corpus,
+# recorded from the per-character implementation.
+LARGE_HOST_HASHES = {
+    "rotational(2095)": "cfeab4a3a289040264f54f0088c96d5191cdf9c9f8578f32a2f6a55a81d34e41",
+    "random(1351, 0)": "1078325352ab8cc2258f0420047743c614178e838f4eed6978ea8baba6be75e9",
+}
+
+
+# --- per-character reference ------------------------------------------------
+
+
+def reference_validate(out, n):
+    for i in range(n):
+        if (out[i] >> i) & 1:
+            raise ValueError(f"self-loop at vertex {i}")
+        if out[i] >> n:
+            raise ValueError(f"row {i} has bits beyond vertex count")
+    for i in range(n):
+        for j in bits_of(out[i]):
+            if (out[j] >> i) & 1:
+                raise ValueError(f"both directions present between {i} and {j}")
+    if sum(r.bit_count() for r in out) != n * (n - 1) // 2:
+        raise ValueError("orientation is not total")
+
+
+def reference_format(t):
+    lines = [FORMAT_HEADER, str(t.n)]
+    for i in range(t.n):
+        row = []
+        for j in range(t.n):
+            if i == j:
+                row.append("-")
+            elif t.has_edge(i, j):
+                row.append("1")
+            else:
+                row.append("0")
+        lines.append("".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != FORMAT_HEADER:
+        raise ValueError(f"missing {FORMAT_HEADER!r} header")
+    try:
+        n = int(lines[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError("bad vertex count line") from exc
+    if n < 1:
+        raise ValueError("vertex count must be positive")
+    if len(lines) != n + 2:
+        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
+    rows = [ln.strip() for ln in lines[2:]]
+    out = [0] * n
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for j, ch in enumerate(row):
+            if i == j:
+                if ch != "-":
+                    raise ValueError(f"diagonal entry ({i},{j}) must be '-'")
+            elif ch == "1":
+                out[i] |= 1 << j
+            elif ch != "0":
+                raise ValueError(f"bad character {ch!r} at ({i},{j})")
+    reference_validate(out, n)
+    return Tournament(out)
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# --- strategies --------------------------------------------------------------
+
+
+@st.composite
+def tournaments(draw, max_n=40):
+    return random_tournament(draw(st.integers(1, max_n)), draw(st.integers(0, 2**32)))
+
+
+# Characters a mutation may write: the format's own alphabet (listed twice
+# to be drawn more often), characters that int() accepts in a binary
+# literal, whitespace and line breaks (which move rows), and a non-ASCII
+# digit.
+MUTATION_CHARS = "01-01-x_b+ \t\n\r\u0663"
+_FLIP = str.maketrans("01", "10")
+
+
+def mutate(text, pos, op, ch):
+    if op == "flip":  # reverses one edge: both directions or neither
+        return text[:pos] + text[pos:pos + 1].translate(_FLIP) + text[pos + 1:]
+    if op == "replace":
+        return text[:pos] + ch + text[pos + 1:]
+    if op == "insert":
+        return text[:pos] + ch + text[pos:]
+    return text[:pos] + text[pos + 1:]
+
+
+@st.composite
+def mutated_texts(draw):
+    text = format_tournament(draw(tournaments(max_n=7)))
+    for _ in range(draw(st.integers(1, 3))):
+        # Three edits in four land past the header and count lines.
+        matrix = text.find("\n", text.find("\n") + 1) + 1
+        lo = draw(st.sampled_from([matrix, matrix, matrix, 0]))
+        pos = draw(st.integers(lo, len(text)))
+        op = draw(st.sampled_from(["flip", "flip", "replace", "insert", "delete"]))
+        text = mutate(text, pos, op, draw(st.sampled_from(MUTATION_CHARS)))
+    return text
+
+
+# --- properties --------------------------------------------------------------
+
+
+@given(tournaments())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_and_reference_format(t):
+    text = format_tournament(t)
+    assert text == reference_format(t)
+    assert parse_tournament(text) == t
+
+
+@given(mutated_texts())
+@settings(max_examples=1500, deadline=None)
+def test_parse_matches_reference_on_mutated_matrices(text):
+    assert outcome(parse_tournament, text) == outcome(reference_parse, text)
+
+
+@given(tournaments())
+@settings(max_examples=150, deadline=None)
+def test_hash_is_sha256_of_reference_format(t):
+    assert tournament_hash(t) == hashlib.sha256(reference_format(t).encode()).hexdigest()
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 2 ** (n + 1) - 1), min_size=n, max_size=n)))
+@settings(max_examples=500, deadline=None)
+def test_validate_matches_reference_on_arbitrary_rows(out):
+    t = Tournament(out)
+    assert outcome(t.validate) == outcome(reference_validate, out, len(out))
+
+
+# --- fixed cases -------------------------------------------------------------
+
+
+def test_single_vertex():
+    t = Tournament([0])
+    assert format_tournament(t) == "tournament v1\n1\n-\n"
+    assert parse_tournament("tournament v1\n1\n-\n") == t
+    assert tournament_hash(t) == hashlib.sha256(b"tournament v1\n1\n-\n").hexdigest()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 63, 64, 65])
+def test_error_order_on_every_pair_flipped(n):
+    # Setting every '0' to '1' leaves both directions on each pair; the first
+    # one reported is (0, 1).  Clearing every '1' leaves no pair oriented.
+    header, count, body = format_tournament(random_tournament(n, n)).split("\n", 2)
+    ones = f"{header}\n{count}\n{body.replace('0', '1')}"
+    zeros = f"{header}\n{count}\n{body.replace('1', '0')}"
+    for bad in (ones, zeros):
+        assert outcome(parse_tournament, bad) == outcome(reference_parse, bad)
+    assert outcome(parse_tournament, ones) == "ValueError: both directions present between 0 and 1"
+
+
+def test_seeded_mutations_of_a_larger_host():
+    # 300 vertices: rows wider than a machine word, columns cut from three
+    # blocks.
+    t = random_tournament(300, 5)
+    text = format_tournament(t)
+    assert parse_tournament(text) == t
+    rng = random.Random(11)
+    for _ in range(30):
+        pos = rng.randrange(len(text))
+        bad = mutate(text, pos, rng.choice(["flip", "flip", "replace"]), rng.choice("01-x "))
+        assert outcome(parse_tournament, bad) == outcome(reference_parse, bad)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("rotational(2095)", lambda: rotational_tournament(2095)),
+    ("random(1351, 0)", lambda: random_tournament(1351, 0)),
+])
+def test_large_host_hash_pinned(name, build):
+    t = build()
+    text = format_tournament(t)
+    assert tournament_hash(t) == LARGE_HOST_HASHES[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_HOST_HASHES[name]
+    assert parse_tournament(text) == t
