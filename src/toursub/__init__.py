@@ -26,6 +26,7 @@ from .core import (
     split_by_cut,
     tournament_hash,
     transitive_tournament,
+    write_tournament,
 )
 from .errors import FailureTrace
 from .oracle import OracleQuery, exhaustive_tournaments, oracle_subdivision
@@ -64,6 +65,7 @@ __all__ = [
     "split_by_cut",
     "parse_tournament",
     "format_tournament",
+    "write_tournament",
     "tournament_hash",
     "PatternDigraph",
     "pattern_complete_digraph",

@@ -17,7 +17,7 @@ from .complete_finder import (
     find_complete_subdivision,
     find_digraph_subdivision,
 )
-from .core import format_tournament, generate, parse_tournament, tournament_hash
+from .core import generate, parse_tournament, tournament_hash, write_tournament
 from .errors import FailureTrace, ToursubError
 from .experiments import SCAN_DK_COLUMNS, SWEEP_COLUMNS, VERIFY_CAPS, sweep, write_csv
 from .oracle import DEFAULT_BUDGET, OracleQuery, oracle_subdivision, scan_d_lower
@@ -60,12 +60,11 @@ def _write_witness(path, host, sub) -> None:
 
 def cmd_gen(args) -> int:
     t = generate(args.kind, args.n, args.seed)
-    text = format_tournament(t)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            write_tournament(t, fh)
     else:
-        sys.stdout.write(text)
+        write_tournament(t, sys.stdout)
     return EXIT_OK
 
 

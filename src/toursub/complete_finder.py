@@ -13,6 +13,7 @@ come out in root coordinates and are checked by ``subdivision.verify``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -100,7 +101,8 @@ def find_balanced_set(
             f"(need at least {float(params.balanced_min_size):.1f})",
             stage="balanced-set", universe=size,
         )
-    floor = params.deg_floor(alpha)
+    # An integer reaches a rational exactly when it reaches its ceiling.
+    floor = math.ceil(params.deg_floor(alpha))
     width = params.window_width
     degs = {}
     for v in bits_of(uni):
@@ -110,9 +112,8 @@ def find_balanced_set(
     if len(degs) < k:
         raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor",
                        stage="balanced-set", universe=size)
-    base = max(0, -(-floor.numerator // floor.denominator))  # ceil of the Fraction
     top = max(degs.values())
-    start = base
+    start = max(0, floor)
     while start <= top:
         members = sorted(v for v, d in degs.items() if start <= d < start + width)
         if len(members) >= k:
@@ -417,7 +418,7 @@ def peel_low_outdegree(
     stopping at k removals; returns (peeled, remaining-mask)."""
     cur = t.full_mask if universe is None else universe
     peeled: List[int] = []
-    thr = params.peel_threshold
+    thr = math.ceil(params.peel_threshold)  # exact for the integer degrees
     while len(peeled) < params.k and cur:
         best = None
         for v in bits_of(cur):

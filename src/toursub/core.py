@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple
 
 __all__ = [
     "Tournament",
@@ -32,6 +32,7 @@ __all__ = [
     "strong_components",
     "split_by_cut",
     "format_tournament",
+    "write_tournament",
     "parse_tournament",
     "tournament_hash",
     "mask_of",
@@ -114,19 +115,23 @@ class Tournament:
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
-    """Uniformly random orientation of each pair, deterministic per seed."""
+    """Uniformly random orientation of each pair, deterministic per seed.
+
+    Row i draws the orientation of its pairs with later vertices as one
+    ``getrandbits(n-1-i)``; the pairs a row loses are the lower triangle of
+    the later rows, cut out by one block transpose."""
     if n < 1:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    out = [0] * n
-    for i in range(n - 1):
-        width = n - 1 - i
-        row = rng.getrandbits(width) if width else 0
-        out[i] |= (row << (i + 1))
-        back = ~row & ((1 << width) - 1)
-        for off in bits_of(back):
-            out[i + 1 + off] |= 1 << i
-    return Tournament(out)
+    full = (1 << n) - 1
+    upper = [rng.getrandbits(n - 1 - i) << (i + 1) for i in range(n - 1)] + [0]
+    # Row i of ``lost``, most significant bit first: bit j is set iff i < j
+    # and j -> i.  Listing the rows last first makes column c, read as
+    # binary, the in-row of vertex n-1-c: the lower triangle of its out-row.
+    spec = f"0{n}b"
+    lost = [format((full >> (i + 1) << (i + 1)) ^ upper[i], spec) for i in range(n - 1, -1, -1)]
+    lower = [int(col, 2) for col in _columns(lost)][::-1]
+    return Tournament([u | l for u, l in zip(upper, lower)])
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -160,9 +165,7 @@ def blowup_cyclic_triangle(class_size: int) -> Tournament:
     out = []
     for v in range(n):
         c, p = divmod(v, s)
-        within = 0
-        for q in range(p + 1, s):
-            within |= 1 << (c * s + q)
+        within = ((1 << (s - 1 - p)) - 1) << (v + 1)  # the class's later vertices
         nxt = (c + 1) % 3
         cross = ((1 << s) - 1) << (nxt * s)
         out.append(within | cross)
@@ -223,15 +226,11 @@ def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
         raise ValueError("induced subtournament needs at least one vertex")
     if sub[0] < 0 or sub[-1] >= t.n:
         raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(sub)}
-    out = []
-    for v in sub:
-        row = 0
-        mv = t.out_mask(v)
-        for w in sub:
-            if (mv >> w) & 1:
-                row |= 1 << pos[w]
-        out.append(row)
+    # Character -1-w of a row's binary string is bit w, so one getter picks
+    # the chosen columns, highest first, as the induced row's binary digits.
+    spec = f"0{t.n}b"
+    pick = itemgetter(*[-1 - w for w in reversed(sub)])
+    out = [int("".join(pick(format(t.out_mask(v), spec))), 2) for v in sub]
     return Tournament(out, labels=[t.labels[v] for v in sub])
 
 
@@ -422,19 +421,32 @@ def _parse_row(row: str, i: int, n: int) -> int:
     return _row_mask(row, i)
 
 
+def _format_lines(t: Tournament) -> Iterator[str]:
+    """The text format as newline-terminated pieces: the header and vertex
+    count, then one matrix row at a time."""
+    yield f"{FORMAT_HEADER}\n{t.n}\n"
+    for row in _format_rows(t):
+        yield f"{row}\n"
+
+
 def format_tournament(t: Tournament) -> str:
-    # The trailing "" ends the text with a newline without a second copy.
-    return "\n".join([FORMAT_HEADER, str(t.n), *_format_rows(t), ""])
+    return "".join(_format_lines(t))
+
+
+def write_tournament(t: Tournament, fh: TextIO) -> None:
+    """Write the ``format_tournament`` text to ``fh`` row by row, without
+    holding the whole text."""
+    fh.writelines(_format_lines(t))
 
 
 def parse_tournament(text: str) -> Tournament:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValueError(f"missing {FORMAT_HEADER!r} header")
-    try:
-        n = int(lines[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("bad vertex count line") from exc
+    count = lines[1].strip() if len(lines) > 1 else ""
+    if not (count.isascii() and count.isdigit()):
+        raise ValueError("bad vertex count line")
+    n = int(count)
     if n < 1:
         raise ValueError("vertex count must be positive")
     if len(lines) != n + 2:
@@ -447,7 +459,7 @@ def parse_tournament(text: str) -> Tournament:
 
 def tournament_hash(t: Tournament) -> str:
     """sha256 of the exact ``format_tournament`` bytes, streamed row by row."""
-    h = hashlib.sha256(f"{FORMAT_HEADER}\n{t.n}\n".encode())
-    for row in _format_rows(t):
-        h.update(f"{row}\n".encode())
+    h = hashlib.sha256()
+    for line in _format_lines(t):
+        h.update(line.encode())
     return h.hexdigest()

@@ -60,49 +60,49 @@ def instance_seed(base: int, index: int) -> int:
 # host families
 
 
+def _stack(block: Sequence[int], layers: int, flip: float, reach: int, seed: int) -> Tournament:
+    """``layers`` copies of the tournament with out-rows ``block``, stacked
+    transitively (layer 0 on top); a lower vertex beats an upper one only
+    within ``reach`` layers, with probability ``flip``.
+
+    Only the pairs within ``reach`` draw from the rng, one ``random()`` each,
+    row by row and left to right; every pair beyond the band is forward."""
+    rng = random.Random(seed)
+    width = len(block)
+    n = width * layers
+    full = (1 << n) - 1
+    out = [0] * n
+    for i in range(n):
+        layer, p = divmod(i, width)
+        lo = (layer + 1) * width
+        hi = min(n, lo + max(reach, 0) * width)
+        row = block[p] << (layer * width) | (full >> hi << hi)
+        for j in range(lo, hi):
+            if rng.random() < flip:
+                out[j] |= 1 << i
+            else:
+                row |= 1 << j
+        out[i] |= row
+    return Tournament(out)
+
+
+# The cyclic triangle 0 -> 1 -> 2 -> 0 as out-rows.
+_TRIANGLE = (0b010, 0b100, 0b001)
+
+
 def stacked_triangles(layers: int, flip: float, reach: int, seed: int) -> Tournament:
     """Cyclic triangles stacked transitively (layer 0 on top); a lower vertex
     beats an upper one only within ``reach`` layers, with probability
     ``flip``.  Sparse flips keep backward routes scarce, which is what drives
     the finder into its cut iteration."""
-    rng = random.Random(seed)
-    n = 3 * layers
-    out = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            li, lj = i // 3, j // 3
-            if li == lj:
-                if (j - i) % 3 == 1:
-                    out[i] |= 1 << j
-                else:
-                    out[j] |= 1 << i
-            elif lj - li <= reach and rng.random() < flip:
-                out[j] |= 1 << i
-            else:
-                out[i] |= 1 << j
-    return Tournament(out)
+    return _stack(_TRIANGLE, layers, flip, reach, seed)
 
 
 def stacked_clusters(width: int, layers: int, flip: float, reach: int, seed: int) -> Tournament:
     """Rotational clusters of odd ``width`` stacked transitively with
     short-range flips; wider clusters give occasional larger cut sets."""
-    rng = random.Random(seed)
     rot = rotational_tournament(width)
-    n = width * layers
-    out = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            li, lj = i // width, j // width
-            if li == lj:
-                if rot.has_edge(i % width, j % width):
-                    out[i] |= 1 << j
-                else:
-                    out[j] |= 1 << i
-            elif lj - li <= reach and rng.random() < flip:
-                out[j] |= 1 << i
-            else:
-                out[i] |= 1 << j
-    return Tournament(out)
+    return _stack([rot.out_mask(v) for v in rot.vertices()], layers, flip, reach, seed)
 
 
 def build_host(kind: str, n: int, seed: int) -> Tournament:

@@ -51,21 +51,35 @@ def half_matching(
     match_left = [-1] * len(left)  # left index -> right slot
     match_right: Dict[int, int] = {}  # right slot -> left index
 
-    def try_augment(u: int, visited: set) -> bool:
-        for slot in nbrs[u]:
-            if slot in visited:
-                continue
-            visited.add(slot)
-            owner = match_right.get(slot, -1)
-            if owner == -1 or try_augment(owner, visited):
-                match_left[u] = slot
-                match_right[slot] = u
-                return True
+    def try_augment(root: int) -> bool:
+        """Kuhn's augmenting-path search from ``root``, depth first with an
+        explicit stack, trying each vertex's slots in ascending order."""
+        visited = set()
+        stack = [(root, iter(nbrs[root]))]
+        via: List[int] = []  # via[d]: the slot frame d took towards frame d+1
+        while stack:
+            for slot in stack[-1][1]:
+                if slot in visited:
+                    continue
+                visited.add(slot)
+                via.append(slot)
+                owner = match_right.get(slot, -1)
+                if owner == -1:
+                    for (u, _), s in zip(stack, via):
+                        match_left[u] = s
+                        match_right[s] = u
+                    return True
+                stack.append((owner, iter(nbrs[owner])))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     unmatched = []
     for u in range(len(left)):
-        if not try_augment(u, set()):
+        if not try_augment(u):
             unmatched.append(u)
 
     if not unmatched:

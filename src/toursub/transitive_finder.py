@@ -277,7 +277,8 @@ def build_aux_graph(
     params = params or FinderParams(k=k)
     if params.k != k:
         params = params.rescaled(k)
-    threshold = params.aux_threshold
+    # An integer is below a rational exactly when it is below its ceiling.
+    threshold = math.ceil(params.aux_threshold)
     g = Graph(t.n)
     rows = [t.out_mask(v) for v in t.vertices()]
     for x in range(t.n):

@@ -25,6 +25,7 @@ from toursub.complete_finder import (
 from toursub.core import (
     Cut,
     Tournament,
+    bits_of,
     blowup_cyclic_triangle,
     mask_of,
     random_tournament,
@@ -254,6 +255,27 @@ def test_peel_strict_threshold_on_regular_host():
     peeled, rest = peel_low_outdegree(rotational_tournament(11), params)
     assert peeled == []
     assert rest == rotational_tournament(11).full_mask
+
+
+@pytest.mark.parametrize("k, offset", [(3, Fraction(1, 2)), (4, Fraction(5, 2)), (5, Fraction(7, 3))])
+def test_peel_matches_rational_reference(k, offset):
+    # A threshold a fraction above the host's minimum out-degree: the
+    # minimum-degree vertex is peeled only if each integer degree is
+    # compared exactly, not against the threshold rounded down.
+    t = random_tournament(150, k)
+    threshold = min(t.out_degree(v) for v in t.vertices()) + offset
+    params = FinderParams(k, threshold / FinderParams(k).peel_threshold)
+    assert params.peel_threshold == threshold
+    cur, peeled = t.full_mask, []
+    while len(peeled) < k:
+        degs = [((t.out_mask(v) & cur).bit_count(), v) for v in bits_of(cur)]
+        low = [dv for dv in degs if dv[0] < params.peel_threshold]
+        if not low:
+            break
+        peeled.append(min(low)[1])
+        cur &= ~(1 << peeled[-1])
+    assert peeled
+    assert peel_low_outdegree(t, params) == (peeled, cur)
 
 
 def test_peel_disjunction_on_random_host():

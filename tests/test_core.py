@@ -271,6 +271,10 @@ def test_parse_errors():
         ("tournament v1\n2\n-0\n0-\n", "orientation is not total"),
         ("tournament v1\n1\n-\n-\n", "expected 1 matrix rows, found 2"),
         ("tournament v1\nthree\n-\n", "bad vertex count line"),
+        # int() takes these as 3; the count line is ASCII digits only
+        ("tournament v1\n+3\n-11\n0-1\n00-\n", "bad vertex count line"),
+        ("tournament v1\n0_3\n-11\n0-1\n00-\n", "bad vertex count line"),
+        ("tournament v1\n\u0663\n-11\n0-1\n00-\n", "bad vertex count line"),
         ("tournament v1\n", "bad vertex count line"),
     ]
     for text, message in cases:

@@ -1,0 +1,201 @@
+"""Host generators and ``induced`` against per-bit references.
+
+The reference functions below are the per-bit implementations the row-wise
+ones replaced.  Each generator must build the same out-rows from the same
+seed, drawing the same random numbers in the same order, and ``induced``
+must return the same rows and root labels.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toursub.core import (
+    Tournament,
+    bits_of,
+    blowup_cyclic_triangle,
+    induced,
+    random_tournament,
+    rotational_tournament,
+)
+from toursub.experiments import SWEEP_KINDS, build_host, stacked_clusters, stacked_triangles
+
+# --- per-bit reference -------------------------------------------------------
+
+
+def reference_random_tournament(n, seed):
+    rng = random.Random(seed)
+    out = [0] * n
+    for i in range(n - 1):
+        width = n - 1 - i
+        row = rng.getrandbits(width) if width else 0
+        out[i] |= row << (i + 1)
+        back = ~row & ((1 << width) - 1)
+        for off in bits_of(back):
+            out[i + 1 + off] |= 1 << i
+    return Tournament(out)
+
+
+def reference_blowup_cyclic_triangle(s):
+    out = []
+    for v in range(3 * s):
+        c, p = divmod(v, s)
+        within = 0
+        for q in range(p + 1, s):
+            within |= 1 << (c * s + q)
+        out.append(within | (((1 << s) - 1) << (((c + 1) % 3) * s)))
+    return Tournament(out)
+
+
+def reference_stacked(width, layers, flip, reach, seed, forward_within):
+    rng = random.Random(seed)
+    n = width * layers
+    out = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            li, lj = i // width, j // width
+            if li == lj:
+                if forward_within(i % width, j % width):
+                    out[i] |= 1 << j
+                else:
+                    out[j] |= 1 << i
+            elif lj - li <= reach and rng.random() < flip:
+                out[j] |= 1 << i
+            else:
+                out[i] |= 1 << j
+    return Tournament(out)
+
+
+def reference_stacked_triangles(layers, flip, reach, seed):
+    return reference_stacked(3, layers, flip, reach, seed, lambda p, q: (q - p) % 3 == 1)
+
+
+def reference_stacked_clusters(width, layers, flip, reach, seed):
+    rot = rotational_tournament(width)
+    return reference_stacked(width, layers, flip, reach, seed, rot.has_edge)
+
+
+def reference_build_host(kind, n, seed):
+    if kind == "random":
+        return reference_random_tournament(n, seed)
+    if kind == "rotational":
+        return rotational_tournament(n | 1)
+    if kind == "blowup":
+        return reference_blowup_cyclic_triangle(max(1, n // 3))
+    if kind == "triangles_sparse":
+        return reference_stacked_triangles(max(2, n // 3), 0.05, 2, seed)
+    if kind == "triangles_local":
+        return reference_stacked_triangles(max(2, n // 3), 0.15, 1, seed)
+    return reference_stacked_clusters(5, max(2, n // 5), 0.1, 1, seed)
+
+
+def reference_induced(t, vertices):
+    sub = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(sub)}
+    out = []
+    for v in sub:
+        row = 0
+        for w in sub:
+            if t.has_edge(v, w):
+                row |= 1 << pos[w]
+        out.append(row)
+    return Tournament(out, labels=[t.labels[v] for v in sub])
+
+
+def same(a, b):
+    return a == b and a.labels == b.labels
+
+
+# --- generators ----------------------------------------------------------------
+
+FLIPS = st.sampled_from([0, 0.05, 0.15, 1])
+SEEDS = st.integers()
+
+
+@given(st.integers(1, 80), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_random_tournament_matches_reference(n, seed):
+    t = random_tournament(n, seed)
+    assert same(t, reference_random_tournament(n, seed))
+    t.validate()
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 257, 600])
+def test_random_tournament_matches_reference_across_column_blocks(n):
+    assert same(random_tournament(n, n), reference_random_tournament(n, n))
+
+
+@given(st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_blowup_matches_reference(s):
+    assert same(blowup_cyclic_triangle(s), reference_blowup_cyclic_triangle(s))
+
+
+@given(st.integers(1, 30), FLIPS, st.integers(0, 3), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_stacked_triangles_match_reference(layers, flip, reach, seed):
+    t = stacked_triangles(layers, flip, reach, seed)
+    assert same(t, reference_stacked_triangles(layers, flip, reach, seed))
+    t.validate()
+
+
+@given(st.sampled_from([1, 3, 5, 7]), st.integers(1, 16), FLIPS, st.integers(0, 3), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_stacked_clusters_match_reference(width, layers, flip, reach, seed):
+    t = stacked_clusters(width, layers, flip, reach, seed)
+    assert same(t, reference_stacked_clusters(width, layers, flip, reach, seed))
+    t.validate()
+
+
+@given(st.sampled_from(SWEEP_KINDS), st.integers(1, 120), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_build_host_matches_reference(kind, n, seed):
+    assert same(build_host(kind, n, seed), reference_build_host(kind, n, seed))
+
+
+# --- induced -------------------------------------------------------------------
+
+
+@st.composite
+def hosts_and_subsets(draw):
+    n = draw(st.integers(1, 60))
+    t = random_tournament(n, draw(st.integers(0, 2**32)))
+    sub = draw(st.lists(st.integers(0, n - 1), min_size=1))
+    return t, sub
+
+
+@given(hosts_and_subsets())
+@settings(max_examples=300, deadline=None)
+def test_induced_matches_reference(case):
+    t, sub = case
+    assert same(induced(t, sub), reference_induced(t, sub))
+
+
+@given(hosts_and_subsets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_nested_induced_composes_labels(case, data):
+    t, sub = case
+    inner = induced(t, sub)
+    sub2 = data.draw(st.lists(st.integers(0, inner.n - 1), min_size=1))
+    nested = induced(inner, sub2)
+    assert same(nested, reference_induced(reference_induced(t, sub), sub2))
+    # Labels are root coordinates, so the nested call equals one direct call.
+    assert same(nested, induced(t, nested.labels))
+
+
+def test_induced_single_vertex_and_whole_host():
+    t = random_tournament(70, 3)
+    single = induced(t, [64])
+    assert single.n == 1 and single.out_mask(0) == 0 and single.labels == (64,)
+    assert same(induced(t, range(70)), t)
+
+
+def test_induced_errors():
+    t = random_tournament(5, 0)
+    for bad in ([5], [-1], [0, 5]):
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            induced(t, bad)
+    with pytest.raises(ValueError, match="^induced subtournament needs at least one vertex$"):
+        induced(t, [])

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +78,70 @@ def test_random_regression_corpus():
         }
         res = half_matching(list(range(nl)), list(range(nr)), adj)
         assert isinstance(res, HalfMatching) == hall_half_condition(list(range(nl)), adj)
+
+
+def reference_half_matching(left, right, adj):
+    """The recursive Kuhn search ``half_matching`` replaced: the same slots
+    in the same order, so the same matching or violator."""
+    left = list(left)
+    right_pos = {r: i for i, r in enumerate(right)}
+    nbrs = []
+    for u in left:
+        row = set()
+        for r in adj.get(u, ()):
+            if r in right_pos:
+                row.update((2 * right_pos[r], 2 * right_pos[r] + 1))
+        nbrs.append(sorted(row))
+    match_left = [-1] * len(left)
+    match_right = {}
+
+    def try_augment(u, visited):
+        for slot in nbrs[u]:
+            if slot in visited:
+                continue
+            visited.add(slot)
+            owner = match_right.get(slot, -1)
+            if owner == -1 or try_augment(owner, visited):
+                match_left[u] = slot
+                match_right[slot] = u
+                return True
+        return False
+
+    unmatched = [u for u in range(len(left)) if not try_augment(u, set())]
+    if not unmatched:
+        return HalfMatching(tuple((left[u], right[match_left[u] // 2]) for u in range(len(left))))
+    seen_left, seen_slots, frontier = set(unmatched), set(), list(unmatched)
+    while frontier:
+        for slot in nbrs[frontier.pop()]:
+            if slot not in seen_slots:
+                seen_slots.add(slot)
+                owner = match_right.get(slot, -1)
+                if owner != -1 and owner not in seen_left:
+                    seen_left.add(owner)
+                    frontier.append(owner)
+    return HallViolator(frozenset(left[u] for u in seen_left))
+
+
+@given(bipartite())
+@settings(max_examples=300, deadline=None)
+def test_half_matching_matches_recursive_reference(instance):
+    assert half_matching(*instance) == reference_half_matching(*instance)
+
+
+def test_long_augmenting_chain_has_no_recursion_limit():
+    # Left vertex 3000 can only reach right 0, and freeing a slot of right 0
+    # shifts every earlier left vertex along the chain: an augmenting path
+    # of about 3000 steps, past the interpreter's default recursion limit.
+    adj = {i: [i // 2, i // 2 + 1] for i in range(3000)}
+    adj[3000] = [0]
+    res = half_matching(range(3001), range(1502), adj)
+    assert isinstance(res, HalfMatching)
+    assert [u for u, _ in res.edges] == list(range(3001))
+    assert all(v in adj[u] for u, v in res.edges)
+    assert max(Counter(v for _, v in res.edges).values()) == 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        assert res == reference_half_matching(range(3001), range(1502), adj)
+    finally:
+        sys.setrecursionlimit(limit)

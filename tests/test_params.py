@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,3 +57,20 @@ def test_validation():
         FinderParams(3, Fraction(0))
     p = FinderParams(3, Fraction(1, 2)).rescaled(5)
     assert p.k == 5 and p.scale == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_integer_ceiling_decides_every_bound_exactly(k):
+    # The finders compare integer counts against math.ceil of a bound: for
+    # an integer x, x < F iff x < ceil(F), and x >= F iff x >= ceil(F).
+    for scale in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 12),
+                  Fraction(1, 16), Fraction(1, 96), Fraction(7, 5), Fraction(51, 50)):
+        p = FinderParams(k, scale)
+        sizes = (p.balanced_min_size, p.balanced_min_size + 1, 3 * p.balanced_min_size + 7)
+        bounds = [p.aux_threshold, p.peel_threshold]
+        bounds += [p.deg_floor(p.alpha_for(math.ceil(size))) for size in sizes]
+        for bound in bounds:
+            c = math.ceil(bound)
+            for x in range(math.floor(bound) - 2, c + 3):
+                assert (x < bound) == (x < c)
+                assert (x >= bound) == (x >= c)

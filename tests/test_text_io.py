@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toursub.cli import main
 from toursub.core import (
     FORMAT_HEADER,
     Tournament,
@@ -68,10 +69,10 @@ def reference_parse(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValueError(f"missing {FORMAT_HEADER!r} header")
-    try:
-        n = int(lines[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("bad vertex count line") from exc
+    count = lines[1].strip() if len(lines) > 1 else ""
+    if not count or any(ch not in "0123456789" for ch in count):
+        raise ValueError("bad vertex count line")
+    n = int(count)
     if n < 1:
         raise ValueError("vertex count must be positive")
     if len(lines) != n + 2:
@@ -216,3 +217,25 @@ def test_large_host_hash_pinned(name, build):
     assert tournament_hash(t) == LARGE_HOST_HASHES[name]
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_HOST_HASHES[name]
     assert parse_tournament(text) == t
+
+
+def test_cli_gen_writes_the_pinned_bytes(tmp_path, capsys):
+    # gen streams the rows to its output: to a file, and to stdout.
+    out = tmp_path / "rot.txt"
+    assert main(["gen", "--kind", "rotational", "--n", "2095", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_HOST_HASHES["rotational(2095)"]
+    capsys.readouterr()
+    assert main(["gen", "--kind", "random", "--n", "1351", "--seed", "0"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_HOST_HASHES["random(1351, 0)"]
+
+
+# Surrounding whitespace is stripped as for rows; signs, separators and
+# non-ASCII digits (which int() takes) are rejected, see test_parse_errors.
+@pytest.mark.parametrize("count, ok", [
+    ("3", True), (" 3\t", True), ("03", True), ("-3", False), ("3.0", False), ("0x3", False),
+])
+def test_vertex_count_line_is_ascii_digits(count, ok):
+    text = f"{FORMAT_HEADER}\n{count}\n-11\n0-1\n00-\n"
+    expected = Tournament([0b110, 0b100, 0]) if ok else "ValueError: bad vertex count line"
+    assert outcome(parse_tournament, text) == outcome(reference_parse, text) == expected

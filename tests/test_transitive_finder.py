@@ -177,6 +177,20 @@ def test_aux_graph_matches_direct_recomputation():
             assert (y in g.adj[x]) == expected
 
 
+@pytest.mark.parametrize("k, scale", [(7, Fraction(51, 50)), (8, Fraction(79, 100))])
+def test_aux_graph_fractional_threshold(k, scale):
+    # Thresholds 99.96 and 101.12 sit where the symmetric differences of
+    # random(200) rows fall and join about half of the pairs; the integer
+    # ceiling the builder compares against decides each pair exactly.
+    t = random_tournament(200, 6)
+    params = FinderParams(k, scale)
+    g = build_aux_graph(t, k, params)
+    for x in range(200):
+        for y in range(x + 1, 200):
+            expected = (t.out_mask(x) ^ t.out_mask(y)).bit_count() < params.aux_threshold
+            assert (y in g.adj[x]) == expected
+
+
 # --- ball separator -------------------------------------------------------------------
 
 
