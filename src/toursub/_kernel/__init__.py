@@ -1,8 +1,9 @@
 """Search kernel selection: compiled extension when available, else pure Python.
 
-Set ``TOURSUB_PURE=1`` to force the pure backend (used by the benchmark and
-by the backend parity tests).  Hosts with more than 64 vertices always use
-the pure backend.
+Set ``TOURSUB_PURE=1`` before import to force the pure backend.  Nothing in
+the package, its tests or its benchmark sets it: the backend parity tests
+call both backends directly through ``available_backends``.  Hosts with more
+than 64 vertices always use the pure backend.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ EXIT_BUDGET = 3
 
 def _read_tournament(path: str):
     with open(path) as fh:
-        return parse_tournament(fh.read())
+        return parse_tournament(fh)
 
 
 def _fraction(text: str) -> Fraction:

@@ -19,13 +19,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Cut, Tournament, _try_short_path, bits_of, mask_of
+from .core import Cut, Tournament, _try_short_path, bits_of, first_window, mask_of
 from .errors import (
     CutInvalid,
     FailureTrace,
     InfeasibleDegree,
     InsufficientOutNeighbours,
-    RepairExhausted,
     StageFailure,
     TooSmall,
 )
@@ -106,30 +105,26 @@ def find_balanced_set(
     width = params.window_width
     degs = {}
     for v in bits_of(uni):
-        d = (t.in_mask(v) & uni).bit_count()
+        d = size - 1 - (t.out_mask(v) & uni).bit_count()
         if d >= floor:
             degs[v] = d
     if len(degs) < k:
         raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor",
                        stage="balanced-set", universe=size)
-    top = max(degs.values())
-    start = max(0, floor)
-    while start <= top:
-        members = sorted(v for v, d in degs.items() if start <= d < start + width)
-        if len(members) >= k:
-            chosen = tuple(members[:k])
-            dmin = min(degs[v] for v in chosen)
-            dmax = max(degs[v] for v in chosen)
-            return BalancedSet(
-                vertices=chosen,
-                m=(dmin + dmax) // 2,
-                alpha=alpha,
-                slack=params.slack,
-                window=(start, start + width - 1),
-            )
-        start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
-                   stage="balanced-set", universe=size)
+    window = first_window(degs, max(0, floor), width, k)
+    if window is None:
+        raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
+                       stage="balanced-set", universe=size)
+    start, chosen = window
+    dmin = min(degs[v] for v in chosen)
+    dmax = max(degs[v] for v in chosen)
+    return BalancedSet(
+        vertices=tuple(chosen),
+        m=(dmin + dmax) // 2,
+        alpha=alpha,
+        slack=params.slack,
+        window=(start, start + width - 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +329,19 @@ def _split_half_matching(hm: HalfMatching) -> Tuple[dict, dict]:
     return u1, u2
 
 
-def minimize_cut(
-    t: Tournament,
-    cut: Cut,
-    k: int,
-) -> Cut:
+def minimize_cut(t: Tournament, cut: Cut) -> Cut:
     """Shrink (U, S) by the violator replacement until the half-matching
     certificate succeeds; returns the cut with its certificate.
 
     Each failed certificate yields X with |N+(X) & S| < |X|/2; replacing U by
     (U minus X) + (N+(X) & S) and S by S minus N+(X) strictly shrinks U while
-    keeping |S| >= |U| and growing the sink, so the loop terminates.
+    keeping |S| >= |U| and growing the sink by X, so the loop terminates.
+
+    The sink needs no size check here: the driver repairs only cuts that
+    passed ``validate_cut`` (sink of at least k vertices), its lift to the
+    working universe adds the peeled vertices to U and leaves the sink as it
+    was, and the repair only grows the sink.
     """
-    if len(cut.sink) < k:
-        raise RepairExhausted(f"sink has {len(cut.sink)} < k = {k} vertices")
     u_set = set(cut.cut)
     s_set = set(cut.source)
     steps = 0
@@ -618,7 +612,7 @@ def _embed_pattern(
         # Lift the cut from the peeled subtournament back to the full working
         # universe: peeled leftovers join the cut side.
         lifted = replace(outcome.cut, cut=outcome.cut.cut | frozenset(peeled))
-        certified = minimize_cut(t, lifted, k)
+        certified = minimize_cut(t, lifted)
         info["cut"] = len(certified.cut)
         info["source"] = len(certified.source)
         diag.stages.append(info)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 __all__ = [
     "Tournament",
@@ -28,6 +28,7 @@ __all__ = [
     "degree_profile",
     "low_in_degree_vertices",
     "low_out_degree_vertices",
+    "first_window",
     "induced",
     "strong_components",
     "split_by_cut",
@@ -217,6 +218,25 @@ def low_out_degree_vertices(t: Tournament, bound: int) -> frozenset:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     return frozenset(v for v in t.vertices() if t.out_degree(v) <= bound)
+
+
+def first_window(
+    degrees: Mapping[int, int], start: int, width: int, k: int
+) -> Optional[Tuple[int, List[int]]]:
+    """Degree pigeonhole: the lowest window ``[lo, lo + width)``, with ``lo``
+    in ``start, start + width, ...``, holding at least k of the vertices
+    (keys of ``degrees``), as ``(lo, its k lowest vertices)``; None when no
+    window does.  Degrees below ``start`` are ignored.  Each degree is
+    bucketed once, so the windows are not rescanned from the floor up."""
+    windows: Dict[int, List[int]] = {}
+    for v, d in degrees.items():
+        if d >= start:
+            windows.setdefault((d - start) // width, []).append(v)
+    for j in sorted(windows):
+        members = windows[j]
+        if len(members) >= k:
+            return start + j * width, sorted(members)[:k]
+    return None
 
 
 def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
@@ -439,8 +459,18 @@ def write_tournament(t: Tournament, fh: TextIO) -> None:
     fh.writelines(_format_lines(t))
 
 
-def parse_tournament(text: str) -> Tournament:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
+    """Parse the text format from a string, or from an iterable of its lines
+    such as an open text file, which is then read one line at a time
+    without holding the whole text.  Lines are split and blank ones skipped
+    the same way in both cases, so both give the same result or error."""
+    if isinstance(text, str):
+        pieces: Iterable[str] = text.splitlines()
+    else:
+        # Splitting each line again splits at the characters besides "\n"
+        # that ``str.splitlines`` treats as line boundaries.
+        pieces = (piece for line in text for piece in line.splitlines())
+    lines = [ln for ln in pieces if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValueError(f"missing {FORMAT_HEADER!r} header")
     count = lines[1].strip() if len(lines) > 1 else ""

@@ -54,12 +54,6 @@ class CutInvalid(StageFailure):
         return f"{self.reason} (|S|={d['source']}, |U|={d['cut']}, |sink|={d['sink']})"
 
 
-class RepairExhausted(StageFailure):
-    """Cut repair would push the sink below the required size."""
-
-    stage = "cut-repair"
-
-
 class InsufficientOutNeighbours(StageFailure):
     """A branch vertex lacks the out-neighbours needed by the path embedding."""
 

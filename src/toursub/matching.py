@@ -3,7 +3,7 @@
 Implemented by duplicating every right vertex and running an augmenting-path
 maximum matching.  When the left side cannot be saturated, the alternating
 forest of the failed search yields a violator set X with |N(X)| < |X|/2,
-which is exactly what the cut-repair loop consumes.
+which is exactly what the cut-minimizing violator replacement consumes.
 """
 
 from __future__ import annotations

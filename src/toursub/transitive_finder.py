@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Tournament, _try_short_path, bits_of, induced, mask_of
+from .core import Tournament, _try_short_path, bits_of, first_window, induced, mask_of
 from .errors import BallTooLarge, FailureTrace, InfeasibleSize, TooSmall
 from .params import FinderParams
 from .subdivision import PathWitness, Subdivision, pattern_transitive
@@ -38,6 +38,10 @@ __all__ = [
 
 RATIO_BOUND = 4
 DEGREE_WINDOW_FACTOR = 10  # (C, m, k) window half-width is 10k
+# transitive_chain updates degrees in place while the dropped in-neighbours
+# number at most 1/_CHAIN_UPDATE_FACTOR of what remains, and recounts them
+# otherwise; 8 was the fastest of 1..64 on the onesub sweep hosts.
+_CHAIN_UPDATE_FACTOR = 8
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +107,18 @@ def find_nearly_regular_k(t: Tournament, k: int) -> NearlyRegularSet:
                        stage="nearly-regular")
     base_set = find_nearly_regular(t)
     width = DEGREE_WINDOW_FACTOR * k
-    start = 0
-    while start < t.n:
-        members = [v for v in base_set.vertices if start <= t.in_degree(v) < start + width]
-        if len(members) >= k:
-            return NearlyRegularSet(
-                vertices=tuple(sorted(members)[:k]),
-                ratio_bound=base_set.ratio_bound,
-                side=base_set.side,
-                m=start + width // 2,
-            )
-        start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
-                   stage="nearly-regular")
+    in_degrees = {v: t.n - 1 - t.out_degree(v) for v in base_set.vertices}
+    window = first_window(in_degrees, 0, width, k)
+    if window is None:
+        raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
+                       stage="nearly-regular")
+    start, chosen = window
+    return NearlyRegularSet(
+        vertices=tuple(chosen),
+        ratio_bound=base_set.ratio_bound,
+        side=base_set.side,
+        m=start + width // 2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +276,40 @@ def build_aux_graph(
     params: Optional[FinderParams] = None,
 ) -> Graph:
     """Join x to y when their out-neighbourhood symmetric difference is
-    below the (scaled) 2k^2 threshold."""
+    below the (scaled) 2k^2 threshold.
+
+    Only pairs that can pass are compared.  |N+(x) ^ N+(y)| is at least the
+    out-degree gap g = |d+(x) - d+(y)|, has the parity of g, and is at least
+    1 (the x-y edge puts one endpoint in it), so it is at least 2 when g = 0.
+    Vertices are bucketed by out-degree and only bucket pairs with
+    g < threshold (and g = 0 only when the threshold exceeds 2) are XORed.
+    Each adjacency list comes out ascending, as a full double loop over
+    x < y would leave it.
+    """
     params = params or FinderParams(k=k)
     if params.k != k:
         params = params.rescaled(k)
     # An integer is below a rational exactly when it is below its ceiling.
     threshold = math.ceil(params.aux_threshold)
     g = Graph(t.n)
+    adj = g.adj
+    buckets: Dict[int, List[int]] = {}
+    for v in t.vertices():
+        buckets.setdefault(t.out_degree(v), []).append(v)
     rows = [t.out_mask(v) for v in t.vertices()]
-    for x in range(t.n):
-        rx = rows[x]
-        for y in range(x + 1, t.n):
-            if (rx ^ rows[y]).bit_count() < threshold:
-                g.add_edge(x, y)
+    for dx, xs in buckets.items():
+        for gap in range(0 if threshold > 2 else 1, threshold):
+            ys = buckets.get(dx + gap)
+            if ys is None:
+                continue
+            for i, x in enumerate(xs):
+                rx = rows[x]
+                for y in (xs[i + 1:] if gap == 0 else ys):
+                    if (rx ^ rows[y]).bit_count() < threshold:
+                        adj[x].append(y)
+                        adj[y].append(x)
+    for nbrs in adj:
+        nbrs.sort()
     return g
 
 
@@ -409,7 +433,7 @@ def partition_components(
     c1 = [len(a1.intersection(c)) for c in comp_list]
     c2 = [len(c) - c1[i] for i, c in enumerate(comp_list)]
     fam1 = [i for i in range(len(comp_list)) if 2 * c1[i] >= len(comp_list[i])]
-    fam2 = [i for i in range(len(comp_list)) if i not in fam1]
+    fam2 = [i for i in range(len(comp_list)) if 2 * c1[i] < len(comp_list[i])]
 
     def finish(x_idx, y_idx):
         x_family = tuple(frozenset(comp_list[i]) for i in sorted(x_idx))
@@ -436,21 +460,25 @@ def partition_components(
     if mass1 < quarter:
         # Grow the X side with majority-A2 components while its A1 mass
         # stays at most m/4; maximality gives the lower bound.
-        chosen = []
+        chosen, rest = [], []
         mass = mass1
         for i in fam2:
             if mass + c1[i] <= quarter:
                 chosen.append(i)
                 mass += c1[i]
-        return finish(fam1 + chosen, [i for i in fam2 if i not in chosen])
+            else:
+                rest.append(i)
+        return finish(fam1 + chosen, rest)
     # Symmetric case: grow the Y side with majority-A1 components.
-    chosen = []
+    chosen, rest = [], []
     mass = mass2
     for i in fam1:
         if mass + c2[i] <= quarter:
             chosen.append(i)
             mass += c2[i]
-    return finish([i for i in fam1 if i not in chosen], fam2 + chosen)
+        else:
+            rest.append(i)
+    return finish(rest, fam2 + chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +487,48 @@ def partition_components(
 
 def transitive_chain(t: Tournament, universe: Optional[int] = None) -> List[int]:
     """Greedy transitive subtournament: repeatedly take a maximum-out-degree
-    vertex and descend into its out-neighbourhood (at least log2 n long)."""
+    vertex (the lowest one among ties) and descend into its
+    out-neighbourhood (at least log2 n long).
+
+    Degrees inside the current set are kept with one bitmask bucket per
+    degree, so a pick is the lowest bit of the highest non-empty bucket.
+    Descending from v drops v, which no remaining vertex beats, and v's
+    in-neighbours R.  While R is small next to what remains, only the
+    remaining in-neighbours of R lose a degree; otherwise every degree is
+    recounted.
+    """
     cur = t.full_mask if universe is None else universe
+    deg = [0] * t.n
     chain = []
+    stale = True
     while cur:
-        best = None
-        for v in bits_of(cur):
-            d = (t.out_mask(v) & cur).bit_count()
-            if best is None or d > best[0]:
-                best = (d, v)
-        chain.append(best[1])
-        cur &= t.out_mask(best[1])
+        if stale:
+            buckets = [0] * cur.bit_count()
+            for w in bits_of(cur):
+                d = (t.out_mask(w) & cur).bit_count()
+                deg[w] = d
+                buckets[d] |= 1 << w
+            top = len(buckets) - 1
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        v = low.bit_length() - 1
+        chain.append(v)
+        nxt = cur & t.out_mask(v)
+        dropped = cur & ~nxt & ~low
+        stale = _CHAIN_UPDATE_FACTOR * dropped.bit_count() > nxt.bit_count()
+        if not stale:
+            buckets[top] ^= low
+            for r in bits_of(dropped):
+                buckets[deg[r]] ^= 1 << r
+            for r in bits_of(dropped):
+                for w in bits_of(nxt & ~t.out_mask(r)):
+                    d = deg[w]
+                    deg[w] = d - 1
+                    bit = 1 << w
+                    buckets[d] ^= bit
+                    buckets[d - 1] |= bit
+        cur = nxt
     return chain
 
 

@@ -180,3 +180,38 @@ def test_bad_input_file_is_an_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a tournament\n")
     assert run(["find", "complete", "--input", str(bad), "--k", "2"]) == 1
+
+
+# Malformed host files and the message each must give.  The CLI reads the
+# file line by line; blank lines (also whitespace-only, CRLF-terminated or
+# cut by a form feed or U+2028) are skipped, and line-boundary characters
+# inside a line split it, exactly as when the whole text is parsed.
+MALFORMED_HOSTS = [
+    ("", "missing 'tournament v1' header"),
+    ("not a tournament\n", "missing 'tournament v1' header"),
+    ("\n \n\t\ntournament v0\n1\n-\n", "missing 'tournament v1' header"),
+    ("tournament v1\n", "bad vertex count line"),
+    ("tournament v1\n+2\n-1\n0-\n", "bad vertex count line"),
+    ("tournament v1\n0\n", "vertex count must be positive"),
+    ("tournament v1\n2\n-1\n", "expected 2 matrix rows, found 1"),
+    ("tournament v1\n2\n-1\n0-\n0-\n", "expected 2 matrix rows, found 3"),
+    ("tournament v1\n2\n-1\x0c0-\x0c0-\n", "expected 2 matrix rows, found 3"),
+    ("tournament v1\n2\n-10\n0-\n", "row 0 has length 3, expected 2"),
+    ("tournament v1\n2\n-x\n0-\n", "bad character 'x' at (0,1)"),
+    ("tournament v1\n2\n1-\n0-\n", "diagonal entry (0,0) must be '-'"),
+    ("tournament v1\r\n2\r\n\r\n-1\r\n  \r\n1-\r\n", "both directions present between 0 and 1"),
+    ("tournament v1\n2\n-1\x0c1-\n", "both directions present between 0 and 1"),
+    ("tournament v1\n2\n\u2028-0\n0-\n\n", "orientation is not total"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_HOSTS)
+def test_malformed_host_file_message(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text.encode())
+    with pytest.raises(ValueError) as exc:
+        parse_tournament(text)
+    assert str(exc.value) == message
+    for argv in (["find", "complete", "--k", "2"], ["find", "onesub", "--k", "2"]):
+        assert run(argv + ["--input", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

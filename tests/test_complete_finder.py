@@ -208,7 +208,7 @@ def test_minimize_cut_violator_replacement():
     # U = {0,1,2} reaches only {3} inside S = {3,4}: the violator replacement
     # swaps U for {3}, and the certificate then matches 3 -> 4.
     cut = Cut(cut=frozenset({0, 1, 2}), source=frozenset({3, 4}), sink=frozenset({5}))
-    cert = minimize_cut(MINCUT_HOST, cut, k=1)
+    cert = minimize_cut(MINCUT_HOST, cut)
     assert cert.cut == {3}
     assert cert.source == {4}
     assert cert.m_prime == {3: 4} and cert.m_dprime == {}
@@ -217,7 +217,7 @@ def test_minimize_cut_violator_replacement():
 def test_minimize_cut_fixpoint_when_expanding():
     t = transitive_tournament(4)  # 0 -> everything
     cut = Cut(cut=frozenset({1}), source=frozenset({2}), sink=frozenset({3}))
-    cert = minimize_cut(t, cut, k=1)
+    cert = minimize_cut(t, cut)
     assert cert.cut == {1} and cert.source == {2}
     assert cert.m_prime == {1: 2}
 
@@ -226,7 +226,7 @@ def test_minimize_cut_certificate_is_sound():
     outcomes = _cut_outcomes(5)
     assert outcomes
     for t, out in outcomes:
-        cert = minimize_cut(t, out.cut, k=3)
+        cert = minimize_cut(t, out.cut)
         # split halves are disjoint, cover the cut, and carry 1-1 matchings
         assert cert.u_prime | cert.u_dprime == cert.cut
         assert not (cert.u_prime & cert.u_dprime)
@@ -416,7 +416,7 @@ def test_failure_trace_only_on_scaled_runs():
     t = stacked_triangles(40, 0.0, 2, 1)
     out = find_complete_subdivision(t, 3, FinderParams(3, Fraction(1, 96)))
     assert isinstance(out, FailureTrace)
-    assert out.stage in {"derive-cut", "balanced-set", "cut-chain-embedding", "cut-repair"}
+    assert out.stage in {"derive-cut", "balanced-set", "cut-chain-embedding"}
 
 
 # --- general digraph patterns -------------------------------------------------------

@@ -7,6 +7,7 @@ raise ``ValueError`` with the same message, on every input.
 """
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -156,6 +157,30 @@ def test_round_trip_and_reference_format(t):
 @settings(max_examples=1500, deadline=None)
 def test_parse_matches_reference_on_mutated_matrices(text):
     assert outcome(parse_tournament, text) == outcome(reference_parse, text)
+
+
+# Line boundaries of str.splitlines besides "\n" and "\r", which a text
+# file's line iteration does not split at.
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(mutated_texts(), st.lists(st.tuples(st.integers(0, 10**4),
+                                          st.sampled_from(OTHER_LINE_BREAKS + "\r\n"))))
+@settings(max_examples=500, deadline=None)
+def test_parse_from_a_file_matches_parse_from_its_text(text, breaks):
+    # A text file (universal newlines, as ``open`` gives) read line by line
+    # must parse exactly like the text that ``read()`` returns from it.
+    for pos, ch in breaks:
+        pos %= len(text) + 1
+        text = text[:pos] + ch + text[pos:]
+
+    def as_file():
+        return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+    expected = outcome(parse_tournament, as_file().read())
+    assert outcome(parse_tournament, as_file()) == expected
+    assert outcome(parse_tournament, text) == expected
+    assert outcome(parse_tournament, text.splitlines(keepends=True)) == expected
 
 
 @given(tournaments())
