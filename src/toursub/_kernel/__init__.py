@@ -1,14 +1,11 @@
 """Search kernel selection: compiled extension when available, else pure Python.
 
-Set ``TOURSUB_PURE=1`` before import to force the pure backend.  Nothing in
-the package, its tests or its benchmark sets it: the backend parity tests
-call both backends directly through ``available_backends``.  Hosts with more
-than 64 vertices always use the pure backend.
+The backend parity tests call both backends directly through
+``available_backends``.  Hosts with more than 64 vertices always use the
+pure backend.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import pure
 
@@ -16,12 +13,10 @@ NOTFOUND = pure.NOTFOUND
 FOUND = pure.FOUND
 BUDGET_EXCEEDED = pure.BUDGET_EXCEEDED
 
-_compiled = None
-if not os.environ.get("TOURSUB_PURE"):
-    try:
-        from . import _speedups as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+try:
+    from . import _speedups as _compiled
+except ImportError:
+    _compiled = None
 
 BACKEND = "compiled" if _compiled is not None else "pure"
 

@@ -41,9 +41,6 @@ __all__ = [
     "BalancedSet",
     "find_balanced_set",
     "GreedyPartial",
-    "CompleteEmbedding",
-    "PartialEmbedding",
-    "CutOutcome",
     "greedy_partial_subdivision",
     "maximize_len2",
     "derive_cut",
@@ -56,8 +53,6 @@ __all__ = [
     "find_complete_subdivision_ex",
     "find_digraph_subdivision",
     "find_digraph_subdivision_ex",
-    "CompleteRunDiagnostics",
-    "reversed_pairs",
     "DEFAULT_DIGRAPH_DEGREE_FACTOR",
 ]
 
@@ -162,27 +157,6 @@ class GreedyPartial:
         return self.universe & ~self.used
 
 
-@dataclass(frozen=True)
-class CompleteEmbedding:
-    state: GreedyPartial
-
-
-@dataclass(frozen=True)
-class PartialEmbedding:
-    state: GreedyPartial
-    failed: Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CutOutcome:
-    state: GreedyPartial
-    failed: Tuple[int, int]
-    cut: Cut
-
-
-DichotomyOutcome = Union[CompleteEmbedding, PartialEmbedding, CutOutcome]
-
-
 def maximize_len2(
     t: Tournament,
     state: GreedyPartial,
@@ -220,16 +194,18 @@ def maximize_len2(
     return False
 
 
-def reversed_pairs(t: Tournament, branch: Sequence[int]) -> List[Tuple[int, int]]:
-    """Host pairs (x, y) of the branch set with y -> x in T: exactly the
-    pairs that need a genuine path (the others are direct edges)."""
-    out = []
-    for a, b in combinations(sorted(branch), 2):
-        if t.has_edge(a, b):
-            out.append((b, a))
-        else:
-            out.append((a, b))
-    return sorted(out)
+def _needed_pairs(
+    t: Tournament, pattern: PatternDigraph, branch: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """Host pairs requiring a genuine path: pattern edges whose host
+    orientation points the wrong way."""
+    b = tuple(sorted(branch))
+    need = set()
+    for u, v in pattern.edges:
+        hu, hv = b[u], b[v]
+        if not t.has_edge(hu, hv):
+            need.add((hu, hv))
+    return sorted(need)
 
 
 def greedy_partial_subdivision(
@@ -238,7 +214,7 @@ def greedy_partial_subdivision(
     forbidden,
     params: FinderParams,
     pairs: Optional[List[Tuple[int, int]]] = None,
-) -> DichotomyOutcome:
+) -> Tuple[GreedyPartial, Optional[Cut]]:
     """Embed needed pairs one at a time as 2-paths (preferred) or 3-paths.
 
     On a stuck pair, run the 2-path-maximizing exchange to a fixpoint; at a
@@ -246,7 +222,10 @@ def greedy_partial_subdivision(
     (4(l1+l2) + 6*slack > m) or the stuck pair yields a disconnecting cut
     whose source side is big.  May raise CutInvalid under scaled parameters.
 
-    ``forbidden`` is a vertex bitmask or any iterable of vertices.
+    Returns (state, cut): ``cut`` is None when every pair embedded or the
+    partial is large enough, else the stuck pair's validated cut.
+    ``forbidden`` is a vertex bitmask or any iterable of vertices; ``pairs``
+    defaults to the pairs the complete pattern needs on the branch set.
     """
     if not isinstance(forbidden, int):
         forbidden = mask_of(forbidden)
@@ -254,7 +233,9 @@ def greedy_partial_subdivision(
     branch = tuple(sorted(balanced.vertices))
     if mask_of(branch) & forbidden:
         raise ValueError("branch vertices must avoid the forbidden set")
-    todo = reversed_pairs(t, branch) if pairs is None else sorted(pairs)
+    if pairs is None:
+        pairs = _needed_pairs(t, pattern_complete_digraph(len(branch)), branch)
+    todo = sorted(pairs)
     state = GreedyPartial(t=t, universe=universe, branch=branch)
 
     swap_cap = len(todo) + 1
@@ -274,11 +255,11 @@ def greedy_partial_subdivision(
             continue
         # Fixpoint with a genuinely stuck pair: dichotomy.
         if 4 * (state.l1 + state.l2) + 6 * params.slack > balanced.m:
-            return PartialEmbedding(state=state, failed=(x, y))
+            return state, None
         cut = derive_cut(t, state, (x, y))
         validate_cut(cut, params.k)
-        return CutOutcome(state=state, failed=(x, y), cut=cut)
-    return CompleteEmbedding(state=state)
+        return state, cut
+    return state, None
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +480,6 @@ def embed_via_cut_chain(
 # drivers
 
 
-@dataclass
-class CompleteRunDiagnostics:
-    chain: Tuple[Cut, ...] = ()
-    stages: List[dict] = field(default_factory=list)
-    terminal: str = ""
-    greedy_l1: int = 0
-    greedy_l2: int = 0
-    swaps: int = 0
-    chain_pairs: int = 0
-
-
 def _assemble(
     t: Tournament,
     pattern: PatternDigraph,
@@ -541,25 +511,28 @@ def _run_pattern_driver(
     t: Tournament,
     pattern: PatternDigraph,
     params: FinderParams,
-) -> Tuple[Union[Subdivision, FailureTrace], CompleteRunDiagnostics]:
-    """Shared driver: a stage failure propagates at scale 1 and becomes the
-    run's FailureTrace on a scaled run."""
-    diag = CompleteRunDiagnostics()
+) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...]]:
+    """Shared driver: returns (outcome, certified cut chain).  A stage
+    failure propagates at scale 1 and becomes the run's FailureTrace on a
+    scaled run; the cuts certified before it are still returned."""
+    chain: List[Cut] = []
     try:
-        return _embed_pattern(t, pattern, params, diag), diag
+        outcome = _embed_pattern(t, pattern, params, chain)
     except StageFailure as exc:
         if params.paper_faithful:
             raise
-        return FailureTrace.from_error(exc), diag
+        outcome = FailureTrace.from_error(exc)
+    return outcome, tuple(chain)
 
 
 def _embed_pattern(
     t: Tournament,
     pattern: PatternDigraph,
     params: FinderParams,
-    diag: CompleteRunDiagnostics,
+    chain: List[Cut],
 ) -> Subdivision:
-    """Branch-set search, dichotomy, cut chain, completion."""
+    """Branch-set search, dichotomy, cut chain, completion.  Appends each
+    certified cut to ``chain`` as it is made."""
     k = pattern.k
     universe = t.full_mask
 
@@ -568,75 +541,39 @@ def _embed_pattern(
         if uni_size < k:
             raise TooSmall("working tournament shrank below k", stage="iterate", size=uni_size)
         peeled, kept = peel_low_outdegree(t, params, universe)
-        info = {"universe": uni_size, "peeled": len(peeled)}
         if len(peeled) == k:
             # Terminal: k low-out-degree vertices become the branch set and
             # every needed pair routes through the cut chain.
-            diag.terminal = "low-out-degree"
-            branch = tuple(sorted(peeled))
-            host_pairs = _needed_pairs(t, pattern, branch)
-            diag.chain_pairs = len(host_pairs)
-            wits = embed_via_cut_chain(t, branch, host_pairs, diag.chain)
-            path_map = {(w.from_v, w.to_v): w.internals for w in wits}
-            return _assemble(t, pattern, branch, path_map)
+            branch, path_map = tuple(sorted(peeled)), {}
+            break
 
         balanced = find_balanced_set(t, params, kept)
-        info["alpha"] = float(balanced.alpha)
-        info["m"] = balanced.m
-
-        host_pairs = _needed_pairs(t, pattern, balanced.vertices)
-        outcome = greedy_partial_subdivision(
+        state, cut = greedy_partial_subdivision(
             t, balanced, forbidden=t.full_mask & ~kept, params=params,
-            pairs=host_pairs,
+            pairs=_needed_pairs(t, pattern, balanced.vertices),
         )
+        if cut is None:
+            branch, path_map = state.branch, state.paths
+            break
 
-        if isinstance(outcome, (CompleteEmbedding, PartialEmbedding)):
-            state = outcome.state
-            diag.greedy_l1 = state.l1
-            diag.greedy_l2 = state.l2
-            diag.swaps = state.swaps
-            diag.terminal = (
-                "complete-greedy" if isinstance(outcome, CompleteEmbedding) else "partial"
-            )
-            diag.stages.append(info)
-            branch = state.branch
-            path_map = dict(state.paths)
-            remaining = [p for p in host_pairs if p not in path_map]
-            diag.chain_pairs = len(remaining)
-            if remaining:
-                for w in embed_via_cut_chain(t, branch, remaining, diag.chain):
-                    path_map[(w.from_v, w.to_v)] = w.internals
-            return _assemble(t, pattern, branch, path_map)
-
-        assert isinstance(outcome, CutOutcome)
         # Lift the cut from the peeled subtournament back to the full working
         # universe: peeled leftovers join the cut side.
-        lifted = replace(outcome.cut, cut=outcome.cut.cut | frozenset(peeled))
-        certified = minimize_cut(t, lifted)
-        info["cut"] = len(certified.cut)
-        info["source"] = len(certified.source)
-        diag.stages.append(info)
-        diag.chain += (certified,)
+        certified = minimize_cut(t, replace(cut, cut=cut.cut | frozenset(peeled)))
+        chain.append(certified)
         next_universe = universe & ~mask_of(certified.cut) & ~mask_of(certified.source)
         if next_universe.bit_count() >= universe.bit_count():
             raise RuntimeError("cut stage failed to shrink the working tournament")
         universe = next_universe
+    else:
+        raise RuntimeError("stage iteration exceeded the vertex-count bound")
 
-    raise RuntimeError("stage iteration exceeded the vertex-count bound")
-
-
-def _needed_pairs(
-    t: Tournament, pattern: PatternDigraph, branch: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Host pairs requiring a genuine path: pattern edges whose host
-    orientation points the wrong way."""
-    b = tuple(sorted(branch))
-    need = set()
-    for u, v in pattern.edges:
-        hu, hv = b[u], b[v]
-        if not t.has_edge(hu, hv):
-            need.add((hu, hv))
-    return sorted(need)
+    # Pairs the greedy left over (all of them after a low-out-degree peel)
+    # route through the cut chain.
+    remaining = [p for p in _needed_pairs(t, pattern, branch) if p not in path_map]
+    if remaining:
+        for w in embed_via_cut_chain(t, branch, remaining, chain):
+            path_map[(w.from_v, w.to_v)] = w.internals
+    return _assemble(t, pattern, branch, path_map)
 
 
 def find_complete_subdivision(
@@ -652,16 +589,13 @@ def find_complete_subdivision_ex(
     t: Tournament,
     k: int,
     params: Optional[FinderParams] = None,
-) -> Tuple[Union[Subdivision, FailureTrace], CompleteRunDiagnostics]:
+) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...]]:
     """Complete-digraph subdivision with every path of length at most 3 and
-    every edge subdivided at most twice; also returns run diagnostics
-    (cut chain, stage log) for certification tests and sweeps."""
+    every edge subdivided at most twice; also returns the certified cut
+    chain, for certification tests and sweeps."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    params = params or FinderParams(k=k)
-    if params.k != k:
-        params = params.rescaled(k)
-    diag = CompleteRunDiagnostics()
+    params = (params or FinderParams(k=k)).rescaled(k)
     min_out = min(t.out_degree(v) for v in t.vertices()) if t.n else 0
 
     if k == 2:
@@ -673,10 +607,9 @@ def find_complete_subdivision_ex(
         if tri is None:
             raise RuntimeError("delta+ >= 1 tournament without a directed triangle")
         a, b, c = tri
-        diag.terminal = "triangle"
         # a -> b is an edge of the triangle; b -> c -> a covers the return.
         branch = (a, b) if a < b else (b, a)
-        return _assemble(t, pattern_complete_digraph(2), branch, {(b, a): (c,)}), diag
+        return _assemble(t, pattern_complete_digraph(2), branch, {(b, a): (c,)}), ()
 
     if params.paper_faithful and min_out < params.min_out_degree:
         raise InfeasibleDegree(
@@ -690,9 +623,8 @@ def find_digraph_subdivision(
     t: Tournament,
     pattern: PatternDigraph,
     params: Optional[FinderParams] = None,
-    degree_factor: int = DEFAULT_DIGRAPH_DEGREE_FACTOR,
 ) -> Union[Subdivision, FailureTrace]:
-    outcome, _ = find_digraph_subdivision_ex(t, pattern, params, degree_factor)
+    outcome, _ = find_digraph_subdivision_ex(t, pattern, params)
     return outcome
 
 
@@ -700,27 +632,23 @@ def find_digraph_subdivision_ex(
     t: Tournament,
     pattern: PatternDigraph,
     params: Optional[FinderParams] = None,
-    degree_factor: int = DEFAULT_DIGRAPH_DEGREE_FACTOR,
-) -> Tuple[Union[Subdivision, FailureTrace], CompleteRunDiagnostics]:
+) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...]]:
     """Same driver generalized to an arbitrary pattern digraph: only the
     pattern's edges are embedded, each subdivided at most twice."""
     if pattern.isolated_vertices():
         raise ValueError(f"pattern has isolated vertices: {sorted(pattern.isolated_vertices())}")
-    params = params or FinderParams(k=pattern.k)
-    if params.k != pattern.k:
-        params = params.rescaled(pattern.k)
-    diag = CompleteRunDiagnostics()
+    params = (params or FinderParams(k=pattern.k)).rescaled(pattern.k)
     if pattern.k == 2 and len(pattern.edges) == 1 and t.n >= 2:
         # A single pattern edge is just a host edge.
         (u, v) = pattern.edges[0]
         a, b = (0, 1) if t.has_edge(0, 1) else (1, 0)
         branch = [0, 0]
         branch[u], branch[v] = a, b
-        diag.terminal = "single-edge"
-        return _assemble(t, pattern, tuple(branch), {}), diag
+        return _assemble(t, pattern, tuple(branch), {}), ()
     min_out = min(t.out_degree(v) for v in t.vertices()) if t.n else 0
-    if params.paper_faithful and min_out < degree_factor * len(pattern.edges):
+    factor = DEFAULT_DIGRAPH_DEGREE_FACTOR
+    if params.paper_faithful and min_out < factor * len(pattern.edges):
         raise InfeasibleDegree(
-            f"minimum out-degree {min_out} below {degree_factor} * {len(pattern.edges)} edges"
+            f"minimum out-degree {min_out} below {factor} * {len(pattern.edges)} edges"
         )
     return _run_pattern_driver(t, pattern, params)

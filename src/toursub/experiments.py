@@ -175,10 +175,10 @@ def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
         # instrumentation that rebinds them sees every call.
         if finder == "complete":
             row["chain_stages"] = row["max_cut"] = 0  # also on an error row
-            outcome, diag = find_complete_subdivision_ex(host, k, params)
-            chains = [(index, c) for c in diag.chain]
-            row["chain_stages"] = len(diag.chain)
-            row["max_cut"] = max((len(c.cut) for c in diag.chain), default=0)
+            outcome, chain = find_complete_subdivision_ex(host, k, params)
+            chains = [(index, c) for c in chain]
+            row["chain_stages"] = len(chain)
+            row["max_cut"] = max((len(c.cut) for c in chain), default=0)
         elif finder == "tt3":
             outcome = find_tt_len3(host, k, params)
         else:

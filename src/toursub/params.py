@@ -111,4 +111,5 @@ class FinderParams:
         return float(self.scale) * 1e7 * self.k**2 * math.log(self.k) ** 3
 
     def rescaled(self, k: int) -> "FinderParams":
-        return FinderParams(k=k, scale=self.scale)
+        """The same scale for order k (``self`` when k already matches)."""
+        return self if k == self.k else FinderParams(k=k, scale=self.scale)

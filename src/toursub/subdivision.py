@@ -227,13 +227,13 @@ def verify(
     )
 
 
-def min_span(pattern: PatternDigraph, host_is_tournament: bool = True) -> int:
+def min_span(pattern: PatternDigraph) -> int:
     """Lower bound on the vertex count of any subdivision of ``pattern``.
 
     In a tournament one direction of every complete-pattern pair must be
     subdivided, giving k(k-1)/2 + k; other patterns get the trivial bound k.
     """
-    if pattern.is_complete and host_is_tournament:
+    if pattern.is_complete:
         k = pattern.k
         return k * (k - 1) // 2 + k
     return pattern.k

@@ -134,7 +134,7 @@ def find_tt_len3(
     path of length at most 3.  Paths come out in root coordinates."""
     if k < 1:
         raise ValueError("k must be positive")
-    params = params or FinderParams(k=k)
+    params = (params or FinderParams(k=k)).rescaled(k)
     if params.paper_faithful and t.n < params.tt3_min_size:
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {float(params.tt3_min_size):.0f}"
@@ -286,9 +286,7 @@ def build_aux_graph(
     Each adjacency list comes out ascending, as a full double loop over
     x < y would leave it.
     """
-    params = params or FinderParams(k=k)
-    if params.k != k:
-        params = params.rescaled(k)
+    params = (params or FinderParams(k=k)).rescaled(k)
     # An integer is below a rational exactly when it is below its ceiling.
     threshold = math.ceil(params.aux_threshold)
     g = Graph(t.n)
@@ -541,9 +539,7 @@ def find_one_subdivision(
     pattern edge becomes a directed path of length exactly 2."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    params = params or FinderParams(k=k)
-    if params.k != k:
-        params = params.rescaled(k)
+    params = (params or FinderParams(k=k)).rescaled(k)
     if params.paper_faithful and t.n < params.onesub_min_size:
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {params.onesub_min_size:.0f}"

@@ -144,6 +144,29 @@ def test_experiment_bad_host_size_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["find", "digraph", "--input", "t.txt"], "find digraph requires --pattern"),
+    (["find", "complete", "--input", "t.txt", "--scale", "abc"], "argument --scale"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # argparse exits 2 on its own; 2 is the structured-negative code here.
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "usage: toursub" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["find", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 GOOD_WITNESS = {"pattern": {"k": 2, "edges": [[0, 1], [1, 0]]}, "branch": [0, 1],
                 "paths": [{"from": 0, "to": 1, "internals": []},
                           {"from": 1, "to": 0, "internals": [11]}]}

@@ -4,10 +4,8 @@ import pytest
 
 from toursub.complete_finder import (
     BalancedSet,
-    CompleteEmbedding,
-    CutOutcome,
     GreedyPartial,
-    PartialEmbedding,
+    _needed_pairs,
     derive_cut,
     embed_via_cut_chain,
     expansion_holds,
@@ -19,7 +17,6 @@ from toursub.complete_finder import (
     maximize_len2,
     minimize_cut,
     peel_low_outdegree,
-    reversed_pairs,
     validate_cut,
 )
 from toursub.core import (
@@ -87,10 +84,11 @@ def test_balanced_set_invariants_on_random_host():
 
 def test_greedy_completes_on_cyclic_triangle():
     t = Tournament([0b010, 0b100, 0b001])
-    out = greedy_partial_subdivision(t, free_balanced((0, 1)), 0, FinderParams(2, Fraction(1)))
-    assert isinstance(out, CompleteEmbedding)
-    assert out.state.paths == {(1, 0): (2,)}
-    assert out.state.l1 == 1 and out.state.swaps == 0
+    state, cut = greedy_partial_subdivision(
+        t, free_balanced((0, 1)), 0, FinderParams(2, Fraction(1)))
+    assert cut is None
+    assert state.paths == {(1, 0): (2,)}
+    assert state.l1 == 1 and state.swaps == 0
 
 
 # Hand-built 8-vertex host: the pair (2,1) is stuck until the exchange step
@@ -99,13 +97,13 @@ ONE_SWAP_HOST = Tournament([46, 44, 152, 240, 227, 196, 135, 3])
 
 
 def test_one_swap_exchange():
-    out = greedy_partial_subdivision(
+    state, cut = greedy_partial_subdivision(
         ONE_SWAP_HOST, free_balanced((0, 1, 2)), 0, FinderParams(3, Fraction(1))
     )
-    assert isinstance(out, CompleteEmbedding)
-    assert out.state.swaps == 1
-    assert out.state.paths == {(1, 0): (3, 6), (2, 0): (7,), (2, 1): (4,)}
-    assert out.state.l1 == 2 and out.state.l2 == 1
+    assert cut is None
+    assert state.swaps == 1
+    assert state.paths == {(1, 0): (3, 6), (2, 0): (7,), (2, 1): (4,)}
+    assert state.l1 == 2 and state.l2 == 1
 
 
 def test_exchange_noop_without_blocking_three_path():
@@ -120,14 +118,14 @@ def test_two_swap_chain_host():
     # Frozen from a randomized search: two separate stuck pairs, each
     # resolved by one exchange, and the greedy still completes.
     t = random_tournament(11, 122716)
-    out = greedy_partial_subdivision(
+    state, cut = greedy_partial_subdivision(
         t, free_balanced((0, 2, 5, 6)), 0, FinderParams(4, Fraction(1))
     )
-    assert isinstance(out, CompleteEmbedding)
-    assert out.state.swaps == 2
+    assert cut is None
+    assert state.swaps == 2
     # every recorded path is a real directed path with fresh internals
     seen = set()
-    for (x, y), internals in out.state.paths.items():
+    for (x, y), internals in state.paths.items():
         hops = (x, *internals, y)
         for a, b in zip(hops, hops[1:]):
             assert t.has_edge(a, b)
@@ -139,11 +137,11 @@ def test_two_swap_chain_host():
 def test_swap_counter_bounded_by_pairs():
     for seed in range(30):
         t = random_tournament(12, seed)
-        out = greedy_partial_subdivision(
+        state, cut = greedy_partial_subdivision(
             t, free_balanced((0, 1, 2)), 0, FinderParams(3, Fraction(1))
         )
-        if isinstance(out, (CompleteEmbedding, PartialEmbedding)):
-            assert out.state.swaps <= 3 + 1
+        if cut is None:
+            assert state.swaps <= 3 + 1
 
 
 # --- cut derivation -------------------------------------------------------------
@@ -169,7 +167,7 @@ def test_greedy_propagates_cut_invalid():
 
 
 def _cut_outcomes(count=5):
-    """Harvest genuine CutOutcome instances from the stacked-triangle family."""
+    """Harvest genuine greedy cuts from the stacked-triangle family."""
     from toursub.experiments import stacked_triangles
 
     params = FinderParams(3, Fraction(1, 96))
@@ -178,23 +176,23 @@ def _cut_outcomes(count=5):
         t = stacked_triangles(70, 0.05, 2, seed)
         bal = find_balanced_set(t, params)
         try:
-            out = greedy_partial_subdivision(t, bal, 0, params)
+            _, cut = greedy_partial_subdivision(t, bal, 0, params)
         except (CutInvalid, RuntimeError):
             continue
-        if isinstance(out, CutOutcome):
-            found.append((t, out))
+        if cut is not None:
+            found.append((t, cut))
             if len(found) >= count:
                 break
     return found
 
 
 def test_cut_outcome_orientation_checked_exhaustively():
-    # Any CutOutcome must have every source-to-sink edge oriented forward.
+    # Any greedy cut must have every source-to-sink edge oriented forward.
     outcomes = _cut_outcomes(3)
     assert outcomes
-    for t, out in outcomes:
-        for s in out.cut.source:
-            for w in out.cut.sink:
+    for t, cut in outcomes:
+        for s in cut.source:
+            for w in cut.sink:
                 assert t.has_edge(s, w)
 
 
@@ -225,8 +223,8 @@ def test_minimize_cut_fixpoint_when_expanding():
 def test_minimize_cut_certificate_is_sound():
     outcomes = _cut_outcomes(5)
     assert outcomes
-    for t, out in outcomes:
-        cert = minimize_cut(t, out.cut)
+    for t, cut in outcomes:
+        cert = minimize_cut(t, cut)
         # split halves are disjoint, cover the cut, and carry 1-1 matchings
         assert cert.u_prime | cert.u_dprime == cert.cut
         assert not (cert.u_prime & cert.u_dprime)
@@ -384,7 +382,7 @@ def test_k3_scaled_soundness_across_hosts():
     params = FinderParams(3, Fraction(1, 4))
     for seed in range(12):
         t = random_tournament(260, seed)
-        out, diag = find_complete_subdivision_ex(t, 3, params)
+        out, _ = find_complete_subdivision_ex(t, 3, params)
         assert not isinstance(out, FailureTrace)
         rep = verify(t, out, max_len=3)
         assert rep.valid
@@ -398,8 +396,8 @@ def test_chain_stages_are_certified_on_structured_hosts():
     saw_nonempty = False
     for seed in range(10):
         t = stacked_triangles(60, 0.05, 2, seed)
-        out, diag = find_complete_subdivision_ex(t, 3, params)
-        for st in diag.chain:
+        out, chain = find_complete_subdivision_ex(t, 3, params)
+        for st in chain:
             assert st.u_prime | st.u_dprime == st.cut
             if st.cut:
                 saw_nonempty = True
@@ -408,6 +406,21 @@ def test_chain_stages_are_certified_on_structured_hosts():
         if not isinstance(out, FailureTrace):
             assert verify(t, out, max_len=3).valid
     assert saw_nonempty
+
+
+def test_failed_scaled_run_returns_its_certified_cuts():
+    # A key-job sweep host (complete k=3, seed 22, instance 25) whose run
+    # certifies seven cuts before the dichotomy rejects a cut: the chain
+    # still comes back with the failure trace.
+    from toursub.experiments import build_host, instance_seed
+
+    t = build_host("triangles_sparse", 240, instance_seed(22, 25))
+    out, chain = find_complete_subdivision_ex(t, 3, FinderParams(3, Fraction(1, 96)))
+    assert isinstance(out, FailureTrace) and out.stage == "derive-cut"
+    assert [len(c.cut) for c in chain] == [0, 1, 1, 3, 1, 0, 0]
+    for st in chain:
+        assert st.u_prime | st.u_dprime == st.cut
+        assert expansion_holds(t, st.cut, st.source)
 
 
 def test_failure_trace_only_on_scaled_runs():
@@ -456,7 +469,7 @@ def test_digraph_agrees_with_complete_finder():
 
 def test_reversed_pairs_cover_each_unordered_pair_once():
     t = random_tournament(15, 3)
-    pairs = reversed_pairs(t, (2, 5, 9, 11))
+    pairs = _needed_pairs(t, pattern_complete_digraph(4), (2, 5, 9, 11))
     assert len(pairs) == 6
     for x, y in pairs:
         assert t.has_edge(y, x) and not t.has_edge(x, y)

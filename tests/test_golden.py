@@ -48,17 +48,12 @@ def _outcome_text(host, outcome):
 def _run(finder, host, arg, scale):
     """(outcome, certified cuts of the run or None) for one corpus entry."""
     if finder == "complete":
-        outcome, diag = find_complete_subdivision_ex(host, arg, FinderParams(arg, Fraction(scale)))
-    elif finder == "digraph":
+        return find_complete_subdivision_ex(host, arg, FinderParams(arg, Fraction(scale)))
+    if finder == "digraph":
         pattern = parse_pattern(arg)
-        outcome, diag = find_digraph_subdivision_ex(
-            host, pattern, FinderParams(pattern.k, Fraction(scale)))
-    else:
-        fn = find_tt_len3 if finder == "tt3" else find_one_subdivision
-        return fn(host, arg, FinderParams(arg, Fraction(scale))), None
-    # certified cuts in chain order: ``diag.chain`` is a tuple of them, or an
-    # object that holds them in ``stages``
-    return outcome, getattr(diag.chain, "stages", diag.chain) or ()
+        return find_digraph_subdivision_ex(host, pattern, FinderParams(pattern.k, Fraction(scale)))
+    fn = find_tt_len3 if finder == "tt3" else find_one_subdivision
+    return fn(host, arg, FinderParams(arg, Fraction(scale))), None
 
 
 # label -> (finder, host factory, k or pattern, scale)

@@ -57,6 +57,7 @@ def test_validation():
         FinderParams(3, Fraction(0))
     p = FinderParams(3, Fraction(1, 2)).rescaled(5)
     assert p.k == 5 and p.scale == Fraction(1, 2)
+    assert p.rescaled(5) is p
 
 
 @pytest.mark.parametrize("k", range(1, 9))

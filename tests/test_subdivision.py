@@ -158,7 +158,6 @@ def test_min_span():
     assert min_span(pattern_complete_digraph(2)) == 3
     assert min_span(pattern_complete_digraph(4)) == 10
     assert min_span(pattern_transitive(5)) == 5
-    assert min_span(pattern_complete_digraph(3), host_is_tournament=False) == 3
 
 
 def test_span_at_least_min_span_for_valid_witness():

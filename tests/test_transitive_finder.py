@@ -117,6 +117,17 @@ def test_tt3_paper_scale_size_gate():
         find_tt_len3(rotational_tournament(101), 3)  # needs 1350 vertices
 
 
+def test_tt3_rescales_params_built_for_another_k():
+    # Like the other entry points, tt3 gates a k=5 run at k=5's size even
+    # when handed params built for k=3 (whose 1350-vertex gate this host meets).
+    from toursub.errors import InfeasibleSize
+
+    host = random_tournament(1350, 0)
+    for params in (FinderParams(3), FinderParams(5)):
+        with pytest.raises(InfeasibleSize, match="below the required 3750"):
+            find_tt_len3(host, 5, params)
+
+
 def test_tt3_soundness_sweep():
     for k in (3, 4, 5, 6):
         for seed in range(8):
