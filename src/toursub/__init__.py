@@ -14,16 +14,12 @@ from .complete_finder import (
 from .core import (
     Tournament,
     blowup_cyclic_triangle,
-    degree_profile,
     format_tournament,
     generate,
     induced,
-    low_in_degree_vertices,
-    low_out_degree_vertices,
     parse_tournament,
     random_tournament,
     rotational_tournament,
-    split_by_cut,
     tournament_hash,
     transitive_tournament,
     write_tournament,
@@ -58,11 +54,7 @@ __all__ = [
     "transitive_tournament",
     "rotational_tournament",
     "blowup_cyclic_triangle",
-    "degree_profile",
-    "low_in_degree_vertices",
-    "low_out_degree_vertices",
     "induced",
-    "split_by_cut",
     "parse_tournament",
     "format_tournament",
     "write_tournament",

@@ -42,7 +42,10 @@ def _read_tournament(path: str):
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _range(text: str):
@@ -71,7 +74,10 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     host = _read_tournament(args.input)
     with open(args.witness) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("witness JSON is nested too deeply") from None
     sub, host_hash = witness_from_json(doc)
     if host_hash and host_hash != tournament_hash(host):
         print("witness host hash does not match the input tournament", file=sys.stderr)

@@ -134,7 +134,6 @@ class GreedyPartial:
     embedded x -> y path; direct edges of the branch set are implicit.
     """
 
-    t: Tournament
     universe: int
     branch: Tuple[int, ...]
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
@@ -236,7 +235,7 @@ def greedy_partial_subdivision(
     if pairs is None:
         pairs = _needed_pairs(t, pattern_complete_digraph(len(branch)), branch)
     todo = sorted(pairs)
-    state = GreedyPartial(t=t, universe=universe, branch=branch)
+    state = GreedyPartial(universe=universe, branch=branch)
 
     swap_cap = len(todo) + 1
     idx = 0

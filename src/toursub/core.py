@@ -1,10 +1,14 @@
-"""Tournament representation, generators, degree statistics and cut primitives.
+"""Tournament representation, generators, the degree window and the cut shape.
 
 Vertices are dense 0-based integers.  Orientation is stored as one bitset row
 per vertex: bit j of ``out_mask(i)`` is set iff the edge between i and j is
 directed i -> j.  Since a tournament orients every pair, the in-neighbourhood
 is the complement row, and all set operations used by the finders reduce to
 integer bit arithmetic.
+
+A subtournament is a universe mask over its host; the finders restrict rows
+with ``& universe`` and report host vertices.  ``induced`` builds a
+standalone, renumbered copy.
 """
 
 from __future__ import annotations
@@ -12,26 +16,19 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 __all__ = [
     "Tournament",
-    "DegreeProfile",
     "Cut",
     "generate",
     "random_tournament",
     "transitive_tournament",
     "rotational_tournament",
     "blowup_cyclic_triangle",
-    "degree_profile",
-    "low_in_degree_vertices",
-    "low_out_degree_vertices",
     "first_window",
     "induced",
-    "strong_components",
-    "split_by_cut",
     "format_tournament",
     "write_tournament",
     "parse_tournament",
@@ -57,21 +54,13 @@ def bits_of(mask: int) -> Iterator[int]:
 
 
 class Tournament:
-    """Immutable tournament on n vertices.
+    """Immutable tournament on n vertices."""
 
-    ``labels`` maps local vertex ids to coordinates of the root tournament
-    this instance was induced from (identity for freshly built tournaments),
-    so witnesses can always be reported in root coordinates.
-    """
+    __slots__ = ("n", "_out")
 
-    __slots__ = ("n", "_out", "labels")
-
-    def __init__(self, out_masks: Sequence[int], labels: Optional[Sequence[int]] = None):
+    def __init__(self, out_masks: Sequence[int]):
         self.n = len(out_masks)
         self._out = tuple(out_masks)
-        self.labels = tuple(labels) if labels is not None else tuple(range(self.n))
-        if len(self.labels) != self.n:
-            raise ValueError("labels length must match vertex count")
 
     @property
     def full_mask(self) -> int:
@@ -193,33 +182,6 @@ def generate(kind: str, n: int, seed: Optional[int] = None) -> Tournament:
     raise ValueError(f"unknown tournament kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    out_degrees: tuple
-    in_degrees: tuple
-    min_out: int
-    min_in: int
-
-
-def degree_profile(t: Tournament) -> DegreeProfile:
-    outs = tuple(t.out_degree(v) for v in t.vertices())
-    ins = tuple(t.n - 1 - d for d in outs)
-    return DegreeProfile(outs, ins, min(outs), min(ins))
-
-
-def low_in_degree_vertices(t: Tournament, bound: int) -> frozenset:
-    """All vertices of in-degree at most ``bound`` (at most 2*bound+1 exist)."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    return frozenset(v for v in t.vertices() if t.in_degree(v) <= bound)
-
-
-def low_out_degree_vertices(t: Tournament, bound: int) -> frozenset:
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    return frozenset(v for v in t.vertices() if t.out_degree(v) <= bound)
-
-
 def first_window(
     degrees: Mapping[int, int], start: int, width: int, k: int
 ) -> Optional[Tuple[int, List[int]]]:
@@ -240,7 +202,8 @@ def first_window(
 
 
 def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
-    """Subtournament on the given vertices, labels composed back to the root."""
+    """Standalone subtournament on the given vertices, renumbered 0, 1, ...
+    in ascending order of their index in ``t``."""
     sub = sorted(set(vertices))
     if not sub:
         raise ValueError("induced subtournament needs at least one vertex")
@@ -251,67 +214,7 @@ def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
     spec = f"0{t.n}b"
     pick = itemgetter(*[-1 - w for w in reversed(sub)])
     out = [int("".join(pick(format(t.out_mask(v), spec))), 2) for v in sub]
-    return Tournament(out, labels=[t.labels[v] for v in sub])
-
-
-def strong_components(t: Tournament, universe: Optional[int] = None) -> list:
-    """Strong components of the subtournament on ``universe`` (a bitmask),
-    as frozensets ordered by condensation position, source side first.
-
-    The condensation of a tournament is a transitive tournament, so the
-    component order is total.
-    """
-    uni = t.full_mask if universe is None else universe
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = 0
-    for root in bits_of(uni):
-        if root in index:
-            continue
-        work = [(root, None)]
-        while work:
-            v, it = work[-1]
-            if it is None:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-                it = bits_of(t.out_mask(v) & uni)
-                work[-1] = (v, it)
-            advanced = False
-            for w in it:
-                if w not in index:
-                    work.append((w, None))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-
-    def beats(a: frozenset, b: frozenset) -> int:
-        x = next(iter(a))
-        y = next(iter(b))
-        return -1 if t.has_edge(x, y) else 1
-
-    comps.sort(key=cmp_to_key(beats))
-    return comps
+    return Tournament(out)
 
 
 @dataclass(frozen=True)
@@ -337,25 +240,6 @@ class Cut:
     @property
     def u_dprime(self) -> frozenset:
         return frozenset(self.m_dprime)
-
-
-def split_by_cut(t: Tournament, cut: Iterable[int], prefix: int = 1) -> Optional[Cut]:
-    """Source/sink decomposition of T minus ``cut``.
-
-    Returns None iff the remainder is strongly connected.  The source is the
-    union of the top ``prefix`` strong components of the condensation order.
-    """
-    cut_set = frozenset(cut)
-    uni = t.full_mask & ~mask_of(cut_set)
-    if uni.bit_count() < 2:
-        raise ValueError("need at least two vertices outside the cut")
-    comps = strong_components(t, uni)
-    if len(comps) == 1:
-        return None
-    prefix = max(1, min(prefix, len(comps) - 1))
-    source = frozenset().union(*comps[:prefix])
-    sink = frozenset().union(*comps[prefix:])
-    return Cut(cut=cut_set, source=source, sink=sink)
 
 
 def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:

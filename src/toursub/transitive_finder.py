@@ -8,15 +8,21 @@ whose out-neighbourhoods are nearly equal (the auxiliary graph), separates
 that graph into small components with a BFS ball separator, recurses on two
 component families of a degree-ordered split, and joins the halves with
 exact 2-paths.
+
+Both recurse on universe masks (``universe``, ``uni``) of the host they were
+given, with degrees counted inside the mask, so every vertex a stage returns
+is a host vertex.  ``bits_of(uni)`` is ascending, so lowest-index tie-breaks
+pick what they would on ``induced(t, bits_of(uni))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Tournament, _try_short_path, bits_of, first_window, induced, mask_of
+from .core import Tournament, _try_short_path, bits_of, first_window, mask_of
 from .errors import BallTooLarge, FailureTrace, InfeasibleSize, TooSmall
 from .params import FinderParams
 from .subdivision import PathWitness, Subdivision, pattern_transitive
@@ -59,13 +65,14 @@ class NearlyRegularSet:
     m: Optional[int] = None
 
 
-def _ratio_set(t: Tournament) -> Tuple[List[int], List[int]]:
+def _ratio_set(t: Tournament, uni: int) -> Tuple[List[int], List[int]]:
     """Vertices satisfying each side chain (overlap allowed when d+ = d-)."""
+    n = uni.bit_count()
     out_side = []
     in_side = []
-    for v in t.vertices():
-        dp = t.out_degree(v)
-        dm = t.n - 1 - dp
+    for v in bits_of(uni):
+        dp = (t.out_mask(v) & uni).bit_count()
+        dm = n - 1 - dp
         if dp == 0 or dm == 0:
             continue
         if dm <= dp <= RATIO_BOUND * dm:
@@ -75,18 +82,21 @@ def _ratio_set(t: Tournament) -> Tuple[List[int], List[int]]:
     return out_side, in_side
 
 
-def find_nearly_regular(t: Tournament) -> NearlyRegularSet:
-    """The larger side-homogeneous half of the bounded-ratio vertex set.
+def find_nearly_regular(t: Tournament, universe: Optional[int] = None) -> NearlyRegularSet:
+    """The larger side-homogeneous half of the bounded-ratio vertex set of
+    the subtournament on ``universe`` (default: all of ``t``).
 
     The ratio set has at least |T|/5 vertices for every tournament our
     generators produce; a violation raises, so callers can surface it.
     """
-    if t.n < 10:
+    uni = t.full_mask if universe is None else universe
+    n = uni.bit_count()
+    if n < 10:
         raise TooSmall("nearly-regular extraction needs at least 10 vertices",
                        stage="nearly-regular")
-    out_side, in_side = _ratio_set(t)
+    out_side, in_side = _ratio_set(t, uni)
     ratio_count = len(set(out_side) | set(in_side))
-    if 5 * ratio_count < t.n:
+    if 5 * ratio_count < n:
         raise TooSmall(
             f"bounded-ratio set has {ratio_count} < n/5 vertices; "
             "host is too lopsided for the nearly-regular argument",
@@ -97,17 +107,20 @@ def find_nearly_regular(t: Tournament) -> NearlyRegularSet:
     return NearlyRegularSet(tuple(in_side), RATIO_BOUND, "in")
 
 
-def find_nearly_regular_k(t: Tournament, k: int) -> NearlyRegularSet:
-    """k nearly-regular vertices with in-degrees inside one width-10k window
-    (lowest window first, lowest indices within it)."""
+def find_nearly_regular_k(t: Tournament, k: int, universe: Optional[int] = None) -> NearlyRegularSet:
+    """k nearly-regular vertices of the subtournament on ``universe`` with
+    in-degrees inside one width-10k window (lowest window first, lowest
+    indices within it)."""
     if k < 1:
         raise ValueError("k must be positive")
-    if t.n < DEGREE_WINDOW_FACTOR * k:
+    uni = t.full_mask if universe is None else universe
+    n = uni.bit_count()
+    if n < DEGREE_WINDOW_FACTOR * k:
         raise TooSmall(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
                        stage="nearly-regular")
-    base_set = find_nearly_regular(t)
+    base_set = find_nearly_regular(t, uni)
     width = DEGREE_WINDOW_FACTOR * k
-    in_degrees = {v: t.n - 1 - t.out_degree(v) for v in base_set.vertices}
+    in_degrees = {v: n - 1 - (t.out_mask(v) & uni).bit_count() for v in base_set.vertices}
     window = first_window(in_degrees, 0, width, k)
     if window is None:
         raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
@@ -131,7 +144,7 @@ def find_tt_len3(
     params: Optional[FinderParams] = None,
 ) -> Union[Subdivision, FailureTrace]:
     """Subdivision of the transitive tournament on k vertices with every
-    path of length at most 3.  Paths come out in root coordinates."""
+    path of length at most 3."""
     if k < 1:
         raise ValueError("k must be positive")
     params = (params or FinderParams(k=k)).rescaled(k)
@@ -139,62 +152,48 @@ def find_tt_len3(
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {float(params.tt3_min_size):.0f}"
         )
-    return _tt3_recurse(t, k, params)
+    return _tt3_recurse(t, t.full_mask, k, params)
 
 
-def _tt3_recurse(t: Tournament, k: int, params: FinderParams) -> Union[Subdivision, FailureTrace]:
+def _tt3_recurse(
+    t: Tournament, uni: int, k: int, params: FinderParams
+) -> Union[Subdivision, FailureTrace]:
     pattern = pattern_transitive(k)
-    if t.n < k:
+    n = uni.bit_count()
+    if n < k:
         return FailureTrace(stage="recursion-size", reason="fewer vertices than k",
-                            details={"n": t.n, "k": k})
-    if k == 1:
-        return Subdivision(pattern, (t.labels[0],), {})
-    if k == 2:
-        a, b = (0, 1) if t.has_edge(0, 1) else (1, 0)
-        branch = (t.labels[a], t.labels[b])
-        return Subdivision(pattern, branch, {(0, 1): PathWitness(branch[0], branch[1], ())})
+                            details={"n": n, "k": k})
+    if k <= 2:
+        branch = tuple(islice(bits_of(uni), k))
+        if k == 2 and not t.has_edge(*branch):
+            branch = branch[::-1]
+        return Subdivision(pattern, branch, {(0, 1): PathWitness(*branch)} if k == 2 else {})
 
     try:
-        near = find_nearly_regular_k(t, k)
+        near = find_nearly_regular_k(t, k, uni)
     except TooSmall as exc:
-        return FailureTrace.from_error(exc, n=t.n, k=k)
+        return FailureTrace.from_error(exc, n=n, k=k)
 
     # Branch order: non-increasing out-degree inside the branch set, so
     # forward host edges double as length-1 paths wherever possible.
     bmask = mask_of(near.vertices)
-    sigma = sorted(
-        near.vertices,
-        key=lambda v: (-(t.out_mask(v) & bmask).bit_count(), v),
-    )
+    sigma = sorted(near.vertices, key=lambda v: (-(t.out_mask(v) & bmask).bit_count(), v))
     used = mask_of(sigma)
-    paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    full = t.full_mask
-
+    paths: Dict[Tuple[int, int], PathWitness] = {}
     for i in range(k):
         for j in range(i + 1, k):
             x, y = sigma[i], sigma[j]
-            if t.has_edge(x, y):
-                continue
-            found = _try_short_path(t, x, y, full & ~used)
-            if found is not None:
-                paths[(x, y)] = found
-                used |= mask_of(found)
-                continue
-            return _tt3_split(t, k, params, x, y, used)
-
-    sub_paths = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            x, y = sigma[i], sigma[j]
-            internals = paths.get((x, y), ())
-            sub_paths[(i, j)] = PathWitness(
-                t.labels[x], t.labels[y], tuple(t.labels[z] for z in internals)
-            )
-    return Subdivision(pattern, tuple(t.labels[v] for v in sigma), sub_paths)
+            internals = () if t.has_edge(x, y) else _try_short_path(t, x, y, uni & ~used)
+            if internals is None:
+                return _tt3_split(t, uni, k, params, x, y, used)
+            used |= mask_of(internals)
+            paths[(i, j)] = PathWitness(x, y, internals)
+    return Subdivision(pattern, tuple(sigma), paths)
 
 
 def _tt3_split(
     t: Tournament,
+    uni: int,
     k: int,
     params: FinderParams,
     x: int,
@@ -205,7 +204,7 @@ def _tt3_split(
     in-neighbourhood B of (x, y) sends every edge to the common
     out-neighbourhood A, so a transitive subdivision in B followed by one in
     A concatenates across the B -> A orientation."""
-    avail = t.full_mask & ~used
+    avail = uni & ~used
     a_mask = t.out_mask(x) & t.out_mask(y) & avail
     b_mask = t.in_mask(x) & t.in_mask(y) & avail
     for a in bits_of(a_mask):
@@ -227,18 +226,16 @@ def _tt3_split(
             reason="stuck-pair split leaves a side too small",
             details={"A": a_size, "B": b_size, "need_A": ka, "need_B": kb},
         )
-    first = _tt3_recurse(induced(t, bits_of(b_mask)), kb, params)
+    first = _tt3_recurse(t, b_mask, kb, params)
     if isinstance(first, FailureTrace):
         return first
-    second = _tt3_recurse(induced(t, bits_of(a_mask)), ka, params)
+    second = _tt3_recurse(t, a_mask, ka, params)
     if isinstance(second, FailureTrace):
         return second
 
     pattern = pattern_transitive(k)
     branch = first.branch + second.branch
-    paths: Dict[Tuple[int, int], PathWitness] = {}
-    for (u, v), w in first.paths.items():
-        paths[(u, v)] = w
+    paths: Dict[Tuple[int, int], PathWitness] = dict(first.paths)
     for (u, v), w in second.paths.items():
         paths[(u + kb, v + kb)] = w
     for u in range(kb):
@@ -266,17 +263,16 @@ class Graph:
         self.adj[u].append(v)
         self.adj[v].append(u)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 def build_aux_graph(
     t: Tournament,
     k: int,
     params: Optional[FinderParams] = None,
+    universe: Optional[int] = None,
 ) -> Graph:
-    """Join x to y when their out-neighbourhood symmetric difference is
-    below the (scaled) 2k^2 threshold.
+    """Join x to y when their out-neighbourhood symmetric difference inside
+    ``universe`` (default: all of ``t``) is below the (scaled) 2k^2
+    threshold.  Graph vertex i is the universe's i-th lowest vertex.
 
     Only pairs that can pass are compared.  |N+(x) ^ N+(y)| is at least the
     out-degree gap g = |d+(x) - d+(y)|, has the parity of g, and is at least
@@ -289,12 +285,13 @@ def build_aux_graph(
     params = (params or FinderParams(k=k)).rescaled(k)
     # An integer is below a rational exactly when it is below its ceiling.
     threshold = math.ceil(params.aux_threshold)
-    g = Graph(t.n)
+    uni = t.full_mask if universe is None else universe
+    rows = [t.out_mask(v) & uni for v in bits_of(uni)]
+    g = Graph(len(rows))
     adj = g.adj
     buckets: Dict[int, List[int]] = {}
-    for v in t.vertices():
-        buckets.setdefault(t.out_degree(v), []).append(v)
-    rows = [t.out_mask(v) for v in t.vertices()]
+    for v, row in enumerate(rows):
+        buckets.setdefault(row.bit_count(), []).append(v)
     for dx, xs in buckets.items():
         for gap in range(0 if threshold > 2 else 1, threshold):
             ys = buckets.get(dx + gap)
@@ -412,17 +409,20 @@ class ComponentPartition:
 def partition_components(
     t: Tournament,
     components: Sequence[Sequence[int]],
+    universe: Optional[int] = None,
 ) -> ComponentPartition:
-    """Split the components into two families, one capturing many vertices
-    of the top half of the out-degree order, the other many of the bottom
-    half; both intersections reach (1 - 1/(2 ln n)) m / 4."""
-    n = t.n
+    """Split the components (vertex sets of the subtournament on
+    ``universe``, default all of ``t``) into two families, one capturing many
+    vertices of the top half of the out-degree order, the other many of the
+    bottom half; both intersections reach (1 - 1/(2 ln n)) m / 4."""
+    uni = t.full_mask if universe is None else universe
+    n = uni.bit_count()
     comp_list = [sorted(c) for c in components]
     members = sorted(v for c in comp_list for v in c)
     m = len(members)
     if m == 0:
         raise ValueError("no component vertices to partition")
-    sigma = sorted(members, key=lambda v: (-t.out_degree(v), v))
+    sigma = sorted(members, key=lambda v: (-(t.out_mask(v) & uni).bit_count(), v))
     half = len(sigma) // 2
     a1 = frozenset(sigma[:half])
     a2 = frozenset(sigma[half:])
@@ -544,22 +544,22 @@ def find_one_subdivision(
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {params.onesub_min_size:.0f}"
         )
-    return _onesub_recurse(t, k, params)
+    return _onesub_recurse(t, t.full_mask, k, params)
 
 
-def _onesub_base(t: Tournament, k: int) -> Union[Subdivision, FailureTrace]:
+def _onesub_base(t: Tournament, uni: int, k: int) -> Union[Subdivision, FailureTrace]:
     """Place branch and internal vertices along a transitive chain.
 
     A 1-subdivision of T_k needs k + k(k-1)/2 chain vertices; for k <= 3 the
     layout below mirrors the classic 6-vertex arrangement.
     """
     need = k + k * (k - 1) // 2
-    chain = transitive_chain(t)
+    chain = transitive_chain(t, uni)
     if len(chain) < need:
         return FailureTrace(
             stage="base-transitive",
             reason=f"transitive chain of {len(chain)} < {need} vertices",
-            details={"n": t.n, "k": k},
+            details={"n": uni.bit_count(), "k": k},
         )
     chain = chain[:need]
     if k == 2:
@@ -572,81 +572,73 @@ def _onesub_base(t: Tournament, k: int) -> Union[Subdivision, FailureTrace]:
         raise ValueError("base placement is defined for k <= 3")
     pattern = pattern_transitive(k)
     paths = {
-        (u, v): PathWitness(
-            t.labels[branch[u]], t.labels[branch[v]], (t.labels[mids[(u, v)]],)
-        )
+        (u, v): PathWitness(branch[u], branch[v], (mids[(u, v)],))
         for u, v in pattern.edges
     }
-    return Subdivision(pattern, tuple(t.labels[b] for b in branch), paths)
+    return Subdivision(pattern, branch, paths)
 
 
-def _onesub_recurse(t: Tournament, k: int, params: FinderParams) -> Union[Subdivision, FailureTrace]:
+def _onesub_recurse(
+    t: Tournament, uni: int, k: int, params: FinderParams
+) -> Union[Subdivision, FailureTrace]:
     if k <= 3:
-        return _onesub_base(t, k)
+        return _onesub_base(t, uni, k)
 
-    g = build_aux_graph(t, k, params)
+    g = build_aux_graph(t, k, params, uni)
     try:
         decomp = ball_decomposition(g)
     except BallTooLarge as exc:
         return FailureTrace.from_error(exc)
-    part = partition_components(t, [sorted(c) for c in decomp.components])
+    verts = list(bits_of(uni))
+    comps = [[verts[v] for v in sorted(c)] for c in decomp.components]
+    part = partition_components(t, comps, uni)
 
     k_first = -(-k // 2)  # ceil(k/2): top half of the degree order
     k_second = k // 2
-    left = sorted(part.x_cap_a1)
-    right = sorted(part.y_cap_a2)
+    left, right = part.x_cap_a1, part.y_cap_a2
     if len(left) < k_first or len(right) < k_second:
         return FailureTrace(
             stage="recursion-size",
             reason="component split leaves a side too small",
             details={"left": len(left), "right": len(right), "k": k},
         )
-    first = _onesub_recurse(induced(t, left), k_first, params.rescaled(k_first))
+    first = _onesub_recurse(t, mask_of(left), k_first, params.rescaled(k_first))
     if isinstance(first, FailureTrace):
         return first
-    second = _onesub_recurse(induced(t, right), k_second, params.rescaled(k_second))
+    second = _onesub_recurse(t, mask_of(right), k_second, params.rescaled(k_second))
     if isinstance(second, FailureTrace):
         return second
 
-    # Join: every cross pair gets a fresh midpoint from the whole host.
-    label_pos = {lab: v for v, lab in enumerate(t.labels)}
+    # Join: every cross pair gets a fresh midpoint from the whole universe.
     used = 0
     for sub in (first, second):
-        for b in sub.branch:
-            used |= 1 << label_pos[b]
-        for w in sub.internal_vertices():
-            used |= 1 << label_pos[w]
+        used |= mask_of(sub.branch) | mask_of(sub.internal_vertices())
 
     pattern = pattern_transitive(k)
     branch = first.branch + second.branch
-    paths: Dict[Tuple[int, int], PathWitness] = {}
-    paths.update(first.paths)
+    paths: Dict[Tuple[int, int], PathWitness] = dict(first.paths)
     for (u, v), w in second.paths.items():
         paths[(u + k_first, v + k_first)] = w
     # Cross pairs sit in different aux-graph components with the first-half
     # vertex earlier in the degree order, so their 2-path candidate pool is
     # at least (threshold - 2) / 2 before exclusions.
     margin = (params.aux_threshold - 2) / 2
-    for u in range(k_first):
-        for v in range(k_second):
-            hx = label_pos[first.branch[u]]
-            hy = label_pos[second.branch[v]]
-            pool = (t.out_mask(hx) & t.in_mask(hy)).bit_count()
-            if pool < margin:
+    for u, hx in enumerate(first.branch):
+        for v, hy in enumerate(second.branch):
+            pool = t.out_mask(hx) & t.in_mask(hy) & uni
+            if pool.bit_count() < margin:
                 raise RuntimeError(
-                    f"cross pair ({u},{v}) has {pool} midpoints, below the "
+                    f"cross pair ({u},{v}) has {pool.bit_count()} midpoints, below the "
                     f"guaranteed {float(margin):.1f}"
                 )
-            cands = t.out_mask(hx) & t.in_mask(hy) & ~used & t.full_mask
+            cands = pool & ~used
             if not cands:
                 return FailureTrace(
                     stage="cross-pair-exhaustion",
                     reason=f"no free midpoint for cross pair ({u},{v})",
-                    details={"x": t.labels[hx], "y": t.labels[hy]},
+                    details={"x": hx, "y": hy},
                 )
             z = (cands & -cands).bit_length() - 1
             used |= 1 << z
-            paths[(u, k_first + v)] = PathWitness(
-                t.labels[hx], t.labels[hy], (t.labels[z],)
-            )
+            paths[(u, k_first + v)] = PathWitness(hx, hy, (z,))
     return Subdivision(pattern, branch, paths)

@@ -148,6 +148,8 @@ def test_experiment_bad_host_size_is_an_error(tmp_path, capsys):
     (["find", "digraph", "--input", "t.txt"], "find digraph requires --pattern"),
     (["find", "complete", "--input", "t.txt", "--scale", "abc"], "argument --scale"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["find", "complete", "--input", "t.txt", "--scale", "1/0"], "argument --scale"),
+    (["experiment", "soundness-sweep", "--out", "s.csv", "--scale", "1/0"], "argument --scale"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # argparse exits 2 on its own; 2 is the structured-negative code here.
@@ -185,6 +187,8 @@ GOOD_WITNESS = {"pattern": {"k": 2, "edges": [[0, 1], [1, 0]]}, "branch": [0, 1]
     dict(GOOD_WITNESS, paths=[{"from": 0, "to": 1, "internals": [2.5]}]),
     dict(GOOD_WITNESS, paths=[[0, 1, []]]),
     dict(GOOD_WITNESS, host_hash=7),
+    # raw text, not a value to dump: deeper than json.load can recurse
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
 ])
 def test_verify_malformed_witness_is_an_error(tmp_path, capsys, doc):
     host = tmp_path / "t.txt"
@@ -192,7 +196,7 @@ def test_verify_malformed_witness_is_an_error(tmp_path, capsys, doc):
     run(["gen", "--kind", "rotational", "--n", "21", "--out", str(host)])
     wit.write_text(json.dumps(GOOD_WITNESS))
     assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 0
-    wit.write_text(json.dumps(doc))
+    wit.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 1
     assert "error:" in capsys.readouterr().err
 

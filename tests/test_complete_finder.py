@@ -109,7 +109,7 @@ def test_one_swap_exchange():
 def test_exchange_noop_without_blocking_three_path():
     # (1,0) embeds as a 2-path, so nothing is available to swap with later.
     t = transitive_tournament(4)
-    state = GreedyPartial(t=t, universe=t.full_mask, branch=(0, 3))
+    state = GreedyPartial(universe=t.full_mask, branch=(0, 3))
     assert maximize_len2(t, state, (3, 0)) is False
     assert state.swaps == 0 and state.paths == {}
 
@@ -152,7 +152,7 @@ def test_derive_cut_on_transitive_host():
     # U = everything, so both the source and the sink come out empty and the
     # size validation rejects the cut.
     t = transitive_tournament(10)
-    state = GreedyPartial(t=t, universe=t.full_mask, branch=(0, 9))
+    state = GreedyPartial(universe=t.full_mask, branch=(0, 9))
     cut = derive_cut(t, state, (9, 0))
     assert cut.cut == frozenset(range(10))
     assert cut.source == frozenset() and cut.sink == frozenset()

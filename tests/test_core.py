@@ -3,22 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toursub.core import (
-    Cut,
     Tournament,
-    bits_of,
     blowup_cyclic_triangle,
-    degree_profile,
     format_tournament,
     generate,
     induced,
-    low_in_degree_vertices,
-    low_out_degree_vertices,
-    mask_of,
     parse_tournament,
     random_tournament,
     rotational_tournament,
-    split_by_cut,
-    strong_components,
     tournament_hash,
     transitive_tournament,
 )
@@ -115,41 +107,31 @@ tournaments = st.composite(any_tournament)()
 @given(tournaments)
 @settings(max_examples=60, deadline=None)
 def test_handshake(t):
-    profile = degree_profile(t)
-    assert all(
-        o + i == t.n - 1 for o, i in zip(profile.out_degrees, profile.in_degrees)
-    )
-    assert sum(profile.out_degrees) == t.n * (t.n - 1) // 2
+    outs = [t.out_degree(v) for v in t.vertices()]
+    assert all(o + t.in_degree(v) == t.n - 1 for v, o in enumerate(outs))
+    assert sum(outs) == t.n * (t.n - 1) // 2
     t.validate()
 
 
-# --- degree profile and low-degree sets ------------------------------------
+# --- degrees -----------------------------------------------------------------
 
 
 def test_degree_profile_examples():
-    p = degree_profile(transitive_tournament(4))
-    assert p.min_out == 0 and p.min_in == 0
-    p = degree_profile(rotational_tournament(7))
-    assert p.min_out == 3 and p.min_in == 3
-    p = degree_profile(random_tournament(10, 1))
-    assert sum(p.out_degrees) == 45
+    def min_degrees(t):
+        return (min(t.out_degree(v) for v in t.vertices()),
+                min(t.in_degree(v) for v in t.vertices()))
 
-
-def test_low_in_degree_examples():
-    assert low_in_degree_vertices(transitive_tournament(5), 1) == {0, 1}
-    assert low_in_degree_vertices(rotational_tournament(7), 2) == frozenset()
-    big = low_in_degree_vertices(random_tournament(50, 7), 10)
-    assert len(big) <= 21
-    with pytest.raises(ValueError):
-        low_in_degree_vertices(cyclic_triangle(), -1)
+    assert min_degrees(transitive_tournament(4)) == (0, 0)
+    assert min_degrees(rotational_tournament(7)) == (3, 3)
+    assert sum(map(random_tournament(10, 1).out_degree, range(10))) == 45
 
 
 @given(tournaments, st.integers(0, 45))
 @settings(max_examples=60, deadline=None)
 def test_low_degree_count_bound(t, bound):
     # At most 2*bound+1 vertices can have in-degree (out-degree) <= bound.
-    assert len(low_in_degree_vertices(t, bound)) <= 2 * bound + 1
-    assert len(low_out_degree_vertices(t, bound)) <= 2 * bound + 1
+    assert sum(t.in_degree(v) <= bound for v in t.vertices()) <= 2 * bound + 1
+    assert sum(t.out_degree(v) <= bound for v in t.vertices()) <= 2 * bound + 1
 
 
 # --- induced ----------------------------------------------------------------
@@ -158,7 +140,6 @@ def test_low_degree_count_bound(t, bound):
 def test_induced_examples():
     t = induced(transitive_tournament(5), [0, 2, 4])
     assert t == transitive_tournament(3)
-    assert t.labels == (0, 2, 4)
 
     t5 = transitive_tournament(5)
     assert induced(t5, range(5)) == t5
@@ -168,10 +149,12 @@ def test_induced_examples():
 
 
 def test_induced_label_composition():
-    root = transitive_tournament(8)
-    mid = induced(root, [1, 3, 4, 6])
-    leaf = induced(mid, [0, 2, 3])
-    assert leaf.labels == (1, 4, 6)
+    # Vertex i of an induced copy is the i-th lowest chosen vertex, so nested
+    # calls compose by indexing the sorted vertex lists.
+    root = random_tournament(8, 2)
+    mid_vertices = [1, 3, 4, 6]
+    leaf = induced(induced(root, mid_vertices), [0, 2, 3])
+    assert leaf == induced(root, [1, 4, 6])
 
 
 def test_induced_errors():
@@ -179,73 +162,6 @@ def test_induced_errors():
         induced(transitive_tournament(3), [])
     with pytest.raises(ValueError):
         induced(transitive_tournament(3), [5])
-
-
-# --- strong components and cuts ---------------------------------------------
-
-
-def test_strong_components_transitive_order():
-    comps = strong_components(transitive_tournament(4))
-    assert comps == [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})]
-
-
-def test_strong_components_cyclic():
-    assert strong_components(cyclic_triangle()) == [frozenset({0, 1, 2})]
-
-
-def _reachable(t, start, universe):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in bits_of(t.out_mask(v) & universe):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def test_split_by_cut_examples():
-    assert split_by_cut(cyclic_triangle(), []) is None
-    cut = split_by_cut(transitive_tournament(3), [1])
-    assert cut == Cut(cut=frozenset({1}), source=frozenset({0}), sink=frozenset({2}))
-
-    b = blowup_cyclic_triangle(2)
-    # Independent strong-connectivity check: the class cycle reaches all.
-    assert all(len(_reachable(b, v, b.full_mask)) == b.n for v in b.vertices())
-    assert split_by_cut(b, []) is None
-
-    with pytest.raises(ValueError):
-        split_by_cut(transitive_tournament(3), [0, 1])
-
-
-@given(tournaments, st.data())
-@settings(max_examples=40, deadline=None)
-def test_split_by_cut_orientation(t, data):
-    if t.n < 3:
-        return
-    size = data.draw(st.integers(0, t.n - 2))
-    cut = data.draw(st.sets(st.integers(0, t.n - 1), min_size=size, max_size=size))
-    if t.n - len(cut) < 2:
-        return
-    res = split_by_cut(t, cut)
-    universe = t.full_mask & ~mask_of(cut)
-    comps = strong_components(t, universe)
-    assert (res is None) == (len(comps) == 1)
-    if res is not None:
-        assert res.source and res.sink
-        assert res.source | res.sink | res.cut == set(range(t.n))
-        for s in res.source:
-            for w in res.sink:
-                assert t.has_edge(s, w)
-
-
-def test_split_by_cut_prefix():
-    t = transitive_tournament(4)
-    res = split_by_cut(t, [], prefix=2)
-    assert res.source == {0, 1} and res.sink == {2, 3}
-    res = split_by_cut(t, [], prefix=99)  # clamped to keep the sink nonempty
-    assert res.sink == {3}
 
 
 # --- text format -------------------------------------------------------------

@@ -334,7 +334,8 @@ def test_nearly_regular_k_no_window_is_too_small(monkeypatch):
     # base set spread one vertex per width-20 window reaches the other path.
     t = transitive_tournament(100)  # in-degree of v is v
     spread = NearlyRegularSet(tuple(range(0, 100, 20)), 4, "out")
-    monkeypatch.setattr(transitive_finder, "find_nearly_regular", lambda _t: spread)
+    monkeypatch.setattr(transitive_finder, "find_nearly_regular",
+                        lambda _t, _universe=None: spread)
     expected = ("TooSmall", "no width-20 in-degree window holds 2 nearly-regular vertices",
                 "nearly-regular", {})
     assert outcome(find_nearly_regular_k, t, 2) == expected
@@ -393,13 +394,14 @@ def test_partition_of_sweep_decompositions(monkeypatch):
     seen = []
     original = transitive_finder.partition_components
 
-    def spy(t, components):
-        seen.append((t, [list(c) for c in components]))
-        return original(t, components)
+    def spy(t, components, universe=None):
+        seen.append((t, [list(c) for c in components], universe))
+        return original(t, components, universe)
 
     monkeypatch.setattr(transitive_finder, "partition_components", spy)
     sweep("onesub", 4, 6, 560, Fraction(1, 16), 44)
     monkeypatch.undo()
     assert len(seen) >= 3
-    for t, components in seen:
+    for t, components, universe in seen:
+        assert universe == t.full_mask  # k=4 splits once, at the top level
         assert_same_partition(t, components)

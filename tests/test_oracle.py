@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from toursub._kernel import available_backends
@@ -146,6 +148,22 @@ def test_large_hosts_use_pure_backend():
     t = random_tournament(70, 1)  # beyond the compiled kernel's word width
     out = oracle_subdivision(t, OracleQuery(pattern_complete_digraph(2), max_len=3))
     assert out.found
+
+
+def test_complete8_cap3_runs_under_the_default_recursion_limit():
+    # The pure search nests about one frame per pattern edge plus the path
+    # extensions: complete:8 has 56 edges, and its witness on rotational(81)
+    # takes 90 nodes and about 130 frames.  81 vertices is past the compiled
+    # kernel's word width, so this is the pure backend.
+    t = rotational_tournament(81)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default
+    try:
+        out = oracle_subdivision(t, OracleQuery(parse_pattern("complete:8"), max_len=3))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.found
+    assert verify(t, out.subdivision, max_len=3).valid
 
 
 # --- scan -----------------------------------------------------------------------
