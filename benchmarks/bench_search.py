@@ -64,9 +64,9 @@ def main():
                 out = run(search, host, pattern, max_len, exact_len)
                 best = min(best, time.perf_counter() - t0)
             times[name] = best
-            results[name] = (out[0], out[1], out[2])
+            results[name] = out
             nodes = out[3]
-        assert len(set(map(str, results.values()))) == 1, "backend results diverged"
+        assert len(set(map(str, results.values()))) == 1, "backend results or node counts diverged"
         cols = " ".join(f"{times[n] * 1000:>10.2f}ms" for n in backends)
         speed = (times["pure"] / times["compiled"]) if "compiled" in times else 1.0
         print(f"{label:44} {cols} {nodes:>10}  {speed:>6.1f}x")

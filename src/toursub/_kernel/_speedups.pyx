@@ -1,9 +1,9 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled exact subdivision search for hosts with at most 64 vertices.
 
-Mirrors ``pure.search_subdivision`` step for step (same candidate order, same
-node accounting) with single-word bitmask state, so the two backends are
-interchangeable and cross-checkable.
+Shares ``pure.search_subdivision``'s candidate order and node accounting,
+with single-word bitmask state, so the two backends return the same result
+and node count and are cross-checkable.
 """
 
 from libc.stdlib cimport malloc, free

@@ -2,9 +2,17 @@
 
 Backtracks over injective branch assignments (ascending host order, no
 symmetry assumptions) and then over per-edge directed paths, always expanding
-the most constrained remaining pattern edge.  Vertex sets are Python-int
-bitmasks, so this works for any host size; the compiled twin in
-``_speedups.pyx`` mirrors this search step for step on single-word hosts.
+the most constrained remaining pattern edge (the first in edge order on a
+tie).  Vertex sets are Python-int bitmasks, so this works for any host size;
+the compiled twin in ``_speedups.pyx`` shares its candidate order and node
+accounting on single-word hosts.
+
+A node is one branch placement or one path vertex (or direct edge) placed;
+every node is counted before its subtree is searched, and the count is
+checked against the budget there.  The masks a path search needs for an
+edge (out-neighbours of its tail, in-neighbours of its head, their meet,
+the direct edge) depend only on its two branch vertices, so they are
+computed when the larger of its ends is placed, not at every path search.
 
 NotFound is exact: when the search exhausts without exceeding the node
 budget, no subdivision within the length caps exists.
@@ -23,13 +31,6 @@ class _Budget(Exception):
     pass
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def search_subdivision(
     out_masks: Sequence[int],
     k: int,
@@ -46,29 +47,41 @@ def search_subdivision(
     m = len(edges)
     lo_len = exact_len if exact_len is not None else 1
     hi_len = exact_len if exact_len is not None else max_len
+    len1 = lo_len <= 1 <= hi_len
+    len2 = lo_len <= 2 <= hi_len
+    longer = hi_len >= 3
+    long_lengths = range(max(3, lo_len), hi_len + 1)
+    # The edges checked when branch vertex i is placed: those whose larger
+    # end is i, in edge order.
+    level: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
+    for ei, (a, b) in enumerate(edges):
+        level[max(a, b)].append((ei, a, b))
+    all_edges = list(range(m))
 
     branch = [-1] * k
-    internals: List[Optional[Tuple[int, ...]]] = [None] * m
-    state = {"used": 0, "nodes": 0}
+    internals: List[Tuple[int, ...]] = [()] * m
+    used = 0
+    nodes = 0
+    # Per-edge masks under the current branch map, set when the edge's
+    # larger end is placed; ``direct`` and ``both`` are 0 where length 1 or 2
+    # is not allowed.
+    tail_out = [0] * m
+    head_in = [0] * m
+    both = [0] * m
+    direct = [0] * m
+    # One buffer per edge: the path searches of later edges run inside
+    # this edge's ``extend`` and must not overwrite its prefix.
+    chains = [[0] * max(hi_len, 1) for _ in range(m)]
 
-    def tick():
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise _Budget
-
-    def path_feasible(x: int, y: int, pool: int) -> bool:
+    def long_path(x: int, y: int, pool: int) -> bool:
         # Necessary condition only: distinctness of internals is ignored.
-        if lo_len <= 1 <= hi_len and (out[x] >> y) & 1:
-            return True
-        if lo_len <= 2 <= hi_len and out[x] & inm[y] & pool:
-            return True
-        if hi_len < 3:
-            return False
         layer = out[x] & pool
         for length in range(3, hi_len + 1):
             nxt = 0
-            for z in _bits(layer):
-                nxt |= out[z]
+            while layer:
+                low = layer & -layer
+                nxt |= out[low.bit_length() - 1]
+                layer ^= low
             layer = nxt & pool
             if not layer:
                 return False
@@ -77,105 +90,116 @@ def search_subdivision(
         return False
 
     def assign_branch(i: int) -> bool:
-        for h in range(n):
-            if (state["used"] >> h) & 1:
-                continue
-            tick()
-            branch[i] = h
-            state["used"] |= 1 << h
-            pool = full & ~state["used"]
-            ok = True
-            for a, b in edges:
-                if a <= i and b <= i and (a == i or b == i):
-                    if not path_feasible(branch[a], branch[b], pool):
-                        ok = False
-                        break
-            if ok:
-                if i == k - 1:
-                    if embed_edges(m):
+        nonlocal used, nodes
+        checks = level[i]
+        cands = full & ~used
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            branch[i] = bit.bit_length() - 1
+            used |= bit
+            pool = full & ~used
+            for _, a, b in checks:
+                x = branch[a]
+                y = branch[b]
+                if len1 and (out[x] >> y) & 1:
+                    continue
+                if len2 and out[x] & inm[y] & pool:
+                    continue
+                if not (longer and long_path(x, y, pool)):
+                    break
+            else:
+                for ei, a, b in checks:
+                    ox = out[branch[a]]
+                    iy = inm[branch[b]]
+                    tail_out[ei] = ox
+                    head_in[ei] = iy
+                    both[ei] = ox & iy if len2 else 0
+                    direct[ei] = 1 if len1 and (ox >> branch[b]) & 1 else 0
+                if i < k - 1:
+                    if assign_branch(i + 1):
                         return True
-                elif assign_branch(i + 1):
+                elif embed_edges(all_edges):
                     return True
             branch[i] = -1
-            state["used"] &= ~(1 << h)
+            used ^= bit
         return False
 
-    def edge_options(ei: int, free: int) -> int:
-        x = branch[edges[ei][0]]
-        y = branch[edges[ei][1]]
-        est = 0
-        if lo_len <= 1 <= hi_len and (out[x] >> y) & 1:
-            est += 1
-        if lo_len <= 2 <= hi_len:
-            est += (out[x] & inm[y] & free).bit_count()
-        if hi_len >= 3:
-            a = (out[x] & free).bit_count()
-            b = (inm[y] & free).bit_count()
-            est += a if a < b else b
-        return est
-
-    def embed_edges(remaining: int) -> bool:
-        if remaining == 0:
+    def embed_edges(pending: List[int]) -> bool:
+        nonlocal used, nodes
+        if not pending:
             return True
-        free = full & ~state["used"]
-        pick = -1
-        best = -1
-        for ei in range(m):
-            if internals[ei] is not None:
-                continue
-            est = edge_options(ei, free)
-            if est == 0:
-                return False
-            if best < 0 or est < best:
-                best = est
-                pick = ei
-        x = branch[edges[pick][0]]
-        y = branch[edges[pick][1]]
-
-        if lo_len <= 1 <= hi_len and (out[x] >> y) & 1:
-            tick()
-            internals[pick] = ()
-            if embed_edges(remaining - 1):
-                return True
-            internals[pick] = None
-
-        chain = [0] * max(hi_len, 1)
-
-        def extend(depth: int, total: int, prev: int) -> bool:
-            # depth internals placed so far out of ``total``.
-            free_now = full & ~state["used"]
-            if depth == total - 1:
-                cands = out[prev] & inm[y] & free_now
-            else:
-                cands = out[prev] & free_now
-            for z in _bits(cands):
-                tick()
-                chain[depth] = z
-                state["used"] |= 1 << z
-                if depth == total - 1:
-                    internals[pick] = tuple(chain[:total])
-                    if embed_edges(remaining - 1):
-                        return True
-                    internals[pick] = None
-                elif extend(depth + 1, total, z):
-                    return True
-                state["used"] &= ~(1 << z)
+        free = full & ~used
+        if longer:
+            est = [direct[e] + (both[e] & free).bit_count()
+                   + min((tail_out[e] & free).bit_count(), (head_in[e] & free).bit_count())
+                   for e in pending]
+        else:
+            est = [direct[e] + (both[e] & free).bit_count() for e in pending]
+        best = min(est)
+        if not best:
             return False
+        j = est.index(best)
+        pick = pending[j]
+        rest = pending[:j] + pending[j + 1:]
 
-        for length in range(max(2, lo_len), hi_len + 1):
-            if extend(0, length - 1, x):
+        if direct[pick]:
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            internals[pick] = ()
+            if embed_edges(rest):
                 return True
+        cands = both[pick] & free
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            used |= bit
+            internals[pick] = (bit.bit_length() - 1,)
+            if embed_edges(rest):
+                return True
+            used ^= bit
+        for length in long_lengths:
+            if extend(0, length - 2, tail_out[pick], pick, rest):
+                return True
+        return False
+
+    def extend(depth: int, last: int, reach: int, pick: int, rest: List[int]) -> bool:
+        # Places internal ``depth`` (of ``last + 1``) among ``reach``, the
+        # out-neighbours of the previous path vertex.
+        nonlocal used, nodes
+        cands = reach & ~used
+        if depth == last:
+            cands &= head_in[pick]
+        chain = chains[pick]
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            z = bit.bit_length() - 1
+            chain[depth] = z
+            used |= bit
+            if depth == last:
+                internals[pick] = tuple(chain[:depth + 1])
+                if embed_edges(rest):
+                    return True
+            elif extend(depth + 1, last, out[z], pick, rest):
+                return True
+            used ^= bit
         return False
 
     try:
-        found = assign_branch(0) if k > 0 else embed_edges(m)
+        found = assign_branch(0) if k > 0 else embed_edges(all_edges)
     except _Budget:
-        return BUDGET_EXCEEDED, None, None, state["nodes"]
+        return BUDGET_EXCEEDED, None, None, nodes
     if found:
-        return (
-            FOUND,
-            tuple(branch),
-            [tuple(t) for t in internals],  # type: ignore[arg-type]
-            state["nodes"],
-        )
-    return NOTFOUND, None, None, state["nodes"]
+        return FOUND, tuple(branch), list(internals), nodes
+    return NOTFOUND, None, None, nodes
