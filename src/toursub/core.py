@@ -56,11 +56,12 @@ def bits_of(mask: int) -> Iterator[int]:
 class Tournament:
     """Immutable tournament on n vertices."""
 
-    __slots__ = ("n", "_out")
+    __slots__ = ("n", "_out", "_hash")
 
     def __init__(self, out_masks: Sequence[int]):
         self.n = len(out_masks)
         self._out = tuple(out_masks)
+        self._hash: Optional[str] = None  # tournament_hash, once known
 
     @property
     def full_mask(self) -> int:
@@ -84,15 +85,6 @@ class Tournament:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def validate(self) -> None:
-        """Check the orientation invariants; raises ValueError on violation."""
-        for i in range(self.n):
-            if (self._out[i] >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-            if self._out[i] >> self.n:
-                raise ValueError(f"row {i} has bits beyond vertex count")
-        _check_orientation(list(_format_rows(self)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Tournament) and self._out == other._out
@@ -283,7 +275,7 @@ def _check_orientation(rows: Sequence[str]) -> None:
     for i, (row, col) in enumerate(zip(rows, _columns(rows))):
         if row.translate(_SWAP01) == col:
             continue
-        both = _row_mask(row, i) & _row_mask(col, i)
+        both = _row_mask(row) & _row_mask(col)
         if both:
             j = (both & -both).bit_length() - 1
             raise ValueError(f"both directions present between {i} and {j}")
@@ -304,25 +296,23 @@ def _columns(rows: Sequence[str]) -> Iterator[str]:
             yield block[j::width]
 
 
-def _row_mask(row: str, i: int) -> int:
-    """Bitmask of the ``1`` positions of a well-formed row ``i``."""
-    return int((row[:i] + "0" + row[i + 1:])[::-1], 2)
+def _row_mask(row: str) -> int:
+    """Bitmask of the ``1`` positions of a well-formed row or column: one
+    ``-``, binary digits elsewhere."""
+    return int(row[::-1].replace("-", "0"), 2)
 
 
-def _parse_row(row: str, i: int, n: int) -> int:
-    """Bitmask of matrix row ``i``.  A row of length n with ``-`` at i and
-    n-1 binary digits elsewhere is recognised by C-level counts; any other
-    row is scanned per character to name its first bad entry."""
-    if not (len(row) == n and row[i] == "-" and row.count("0") + row.count("1") == n - 1):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for j, ch in enumerate(row):
-            if i == j:
-                if ch != "-":
-                    raise ValueError(f"diagonal entry ({i},{j}) must be '-'")
-            elif ch != "0" and ch != "1":
-                raise ValueError(f"bad character {ch!r} at ({i},{j})")
-    return _row_mask(row, i)
+def _row_error(row: str, i: int, n: int) -> ValueError:
+    """The error for matrix row ``i`` when it fails the byte check in
+    ``parse_tournament``: its length, or its first entry that is not ``-``
+    on the diagonal and a binary digit elsewhere.  The byte check accepts
+    exactly the rows without such an entry, so the scan always finds one."""
+    if len(row) != n:
+        return ValueError(f"row {i} has length {len(row)}, expected {n}")
+    j = next(k for k, ch in enumerate(row) if ch not in ("-" if k == i else "01"))
+    if j == i:
+        return ValueError(f"diagonal entry ({i},{j}) must be '-'")
+    return ValueError(f"bad character {row[j]!r} at ({i},{j})")
 
 
 def _format_lines(t: Tournament) -> Iterator[str]:
@@ -347,7 +337,13 @@ def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
     """Parse the text format from a string, or from an iterable of its lines
     such as an open text file, which is then read one line at a time
     without holding the whole text.  Lines are split and blank ones skipped
-    the same way in both cases, so both give the same result or error."""
+    the same way in both cases, so both give the same result or error.
+
+    Each row is checked, converted and hashed in one pass over its bytes: a
+    row of n ASCII bytes that are ``0``/``1`` apart from one ``-`` at its
+    diagonal is byte for byte the ``format_tournament`` row, so the host
+    carries ``tournament_hash`` of its canonical text without formatting it.
+    Every pair must then have exactly one direction."""
     if isinstance(text, str):
         pieces: Iterable[str] = text.splitlines()
     else:
@@ -366,14 +362,28 @@ def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
     if len(lines) != n + 2:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
     rows = [ln.strip() for ln in lines[2:]]
-    out = [_parse_row(row, i, n) for i, row in enumerate(rows)]
+    digest = hashlib.sha256(f"{FORMAT_HEADER}\n{n}\n".encode())
+    out = []
+    for i, row in enumerate(rows):
+        raw = row.encode()
+        if not (len(raw) == n and raw.translate(None, b"01") == b"-" and row[i] == "-"):
+            raise _row_error(row, i, n)
+        digest.update(raw)
+        digest.update(b"\n")
+        out.append(_row_mask(row))
     _check_orientation(rows)
-    return Tournament(out)
+    t = Tournament(out)
+    t._hash = digest.hexdigest()
+    return t
 
 
 def tournament_hash(t: Tournament) -> str:
-    """sha256 of the exact ``format_tournament`` bytes, streamed row by row."""
-    h = hashlib.sha256()
-    for line in _format_lines(t):
-        h.update(line.encode())
-    return h.hexdigest()
+    """sha256 of the exact ``format_tournament`` bytes.  A parsed host
+    carries it from its text; any other host streams its formatted rows
+    into sha256 on first use and keeps the digest."""
+    if t._hash is None:
+        digest = hashlib.sha256()
+        for line in _format_lines(t):
+            digest.update(line.encode())
+        t._hash = digest.hexdigest()
+    return t._hash

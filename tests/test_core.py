@@ -110,7 +110,7 @@ def test_handshake(t):
     outs = [t.out_degree(v) for v in t.vertices()]
     assert all(o + t.in_degree(v) == t.n - 1 for v, o in enumerate(outs))
     assert sum(outs) == t.n * (t.n - 1) // 2
-    t.validate()
+    assert parse_tournament(format_tournament(t)) == t
 
 
 # --- degrees -----------------------------------------------------------------

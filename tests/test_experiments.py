@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import toursub.experiments
+from toursub.core import format_tournament, parse_tournament
 from toursub.experiments import (
     COMPLETE_COLUMNS,
     build_host,
@@ -30,7 +31,7 @@ def test_build_host_kinds():
     for kind in ("random", "rotational", "blowup", "triangles_sparse",
                  "triangles_local", "clusters5"):
         t = build_host(kind, 60, 5)
-        t.validate()
+        assert parse_tournament(format_tournament(t)) == t
         assert t.n >= 57
     with pytest.raises(ValueError):
         build_host("nope", 60, 5)

@@ -16,7 +16,9 @@ from toursub.core import (
     Tournament,
     bits_of,
     blowup_cyclic_triangle,
+    format_tournament,
     induced,
+    parse_tournament,
     random_tournament,
     rotational_tournament,
 )
@@ -115,7 +117,7 @@ SEEDS = st.integers()
 def test_random_tournament_matches_reference(n, seed):
     t = random_tournament(n, seed)
     assert t == reference_random_tournament(n, seed)
-    t.validate()
+    assert parse_tournament(format_tournament(t)) == t
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 257, 600])
@@ -134,7 +136,7 @@ def test_blowup_matches_reference(s):
 def test_stacked_triangles_match_reference(layers, flip, reach, seed):
     t = stacked_triangles(layers, flip, reach, seed)
     assert t == reference_stacked_triangles(layers, flip, reach, seed)
-    t.validate()
+    assert parse_tournament(format_tournament(t)) == t
 
 
 @given(st.sampled_from([1, 3, 5, 7]), st.integers(1, 16), FLIPS, st.integers(0, 3), SEEDS)
@@ -142,7 +144,7 @@ def test_stacked_triangles_match_reference(layers, flip, reach, seed):
 def test_stacked_clusters_match_reference(width, layers, flip, reach, seed):
     t = stacked_clusters(width, layers, flip, reach, seed)
     assert t == reference_stacked_clusters(width, layers, flip, reach, seed)
-    t.validate()
+    assert parse_tournament(format_tournament(t)) == t
 
 
 @given(st.sampled_from(SWEEP_KINDS), st.integers(1, 120), SEEDS)

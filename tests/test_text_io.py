@@ -1,19 +1,23 @@
-"""Tournament text format: the row-wise format, hash, parser and
-``Tournament.validate`` against a per-character reference.
+"""Tournament text format: the row-wise format, hash and parser against a
+per-character reference.
 
 The reference functions below are the per-character implementations the
 row-wise ones replaced.  The parser must return the same tournament, or
-raise ``ValueError`` with the same message, on every input.
+raise ``ValueError`` with the same message, on every input.  A parsed host
+carries the hash of its canonical text, which must equal the hash of the
+same host built from its rows.
 """
 
 import hashlib
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toursub.core
 from toursub.cli import main
 from toursub.core import (
     FORMAT_HEADER,
@@ -24,6 +28,7 @@ from toursub.core import (
     random_tournament,
     rotational_tournament,
     tournament_hash,
+    write_tournament,
 )
 
 # sha256 of format_tournament on hosts wider than the golden corpus,
@@ -192,9 +197,42 @@ def test_hash_is_sha256_of_reference_format(t):
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.integers(0, 2 ** (n + 1) - 1), min_size=n, max_size=n)))
 @settings(max_examples=500, deadline=None)
-def test_validate_matches_reference_on_arbitrary_rows(out):
+def test_round_trip_accepts_exactly_the_reference_valid_rows(out):
+    # The round trip is the tests' validity check: the text drops a
+    # self-loop and bits beyond n, so the parsed host differs, and the
+    # parser rejects a pair with both directions or neither.
     t = Tournament(out)
-    assert outcome(t.validate) == outcome(reference_validate, out, len(out))
+    valid = outcome(reference_validate, out, len(out)) is None
+    assert (outcome(parse_tournament, format_tournament(t)) == t) == valid
+
+
+@st.composite
+def noisy_texts(draw):
+    """A host and a text of it that is not canonical but parses to it: LF or
+    CRLF endings, blanks and tabs around lines, blank lines, a zero-padded
+    count line."""
+    t = draw(tournaments())
+    lines = format_tournament(t).splitlines()
+    lines[1] = "0" * draw(st.integers(0, 3)) + lines[1]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.text(" \t", max_size=2)
+    pieces = []
+    for line in lines:
+        pieces += [draw(pad) + eol for _ in range(draw(st.integers(0, 1)))]
+        pieces.append(draw(pad) + line + draw(pad) + eol)
+    return t, "".join(pieces)
+
+
+@given(noisy_texts())
+@settings(max_examples=200, deadline=None)
+def test_parsed_host_hash_equals_hash_from_rows(case):
+    t, text = case
+    expected = tournament_hash(Tournament([t.out_mask(v) for v in t.vertices()]))
+    as_file = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    for source in (text, as_file, text.splitlines(keepends=True)):
+        parsed = parse_tournament(source)
+        assert parsed == t
+        assert tournament_hash(parsed) == expected
 
 
 # --- fixed cases -------------------------------------------------------------
@@ -253,6 +291,64 @@ def test_cli_gen_writes_the_pinned_bytes(tmp_path, capsys):
     assert main(["gen", "--kind", "random", "--n", "1351", "--seed", "0"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_HOST_HASHES["random(1351, 0)"]
+
+
+def test_parsed_host_hash_formats_nothing(monkeypatch):
+    # find and verify hash the host they parsed; that hash comes from the
+    # text, so the host is never formatted again.
+    text = format_tournament(random_tournament(50, 1))
+    parsed = parse_tournament(text)
+
+    def no_format(t):
+        raise AssertionError("the parsed host was formatted to hash it")
+
+    monkeypatch.setattr(toursub.core, "_format_lines", no_format)
+    assert tournament_hash(parsed) == hashlib.sha256(text.encode()).hexdigest()
+
+
+# Row 2 of rotational(5) is "00-11".  Each replacement is its first bad row
+# (row 4 is bad too) and is named by the per-character reference's message.
+# "_" and "+" are taken by int(..., 2); "0\u00e9-1" is 5 bytes in UTF-8 but 4
+# characters; "0-011" has its one "-" off the diagonal.
+@pytest.mark.parametrize("row, message", [
+    ("0_-11", "bad character '_' at (2,1)"),
+    ("+0-11", "bad character '+' at (2,0)"),
+    ("0 -11", "bad character ' ' at (2,1)"),
+    ("0\u00e9-1", "row 2 has length 4, expected 5"),
+    ("00-1\u0663", "bad character '\u0663' at (2,4)"),
+    ("00-111", "row 2 has length 6, expected 5"),
+    ("00011", "diagonal entry (2,2) must be '-'"),
+    ("0-011", "bad character '-' at (2,1)"),
+])
+def test_malformed_row_message(row, message):
+    lines = format_tournament(rotational_tournament(5)).splitlines()
+    assert lines[4] == "00-11"
+    lines[4] = row
+    lines[6] = lines[6].replace("-", "x")
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_tournament, text) == outcome(reference_parse, text) == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotational_tournament(1001),
+    lambda: random_tournament(800, 5),
+], ids=["rotational(1001)", "random(800, 5)"])
+def test_parse_from_a_file_peaks_under_two_bytes_per_entry(build, tmp_path):
+    # The rows are held once, as text, beside the masks; no copy of the
+    # whole matrix is joined.
+    t = build()
+    path = tmp_path / "host.txt"
+    with open(path, "w") as fh:
+        write_tournament(t, fh)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            parsed = parse_tournament(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == t
+    assert peak <= 2.0 * t.n ** 2
 
 
 # Surrounding whitespace is stripped as for rows; signs, separators and
