@@ -1,8 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the exact-search kernel: compiled extension vs pure Python.
-
-Both backends run the identical search (same candidate order, same node
-counts), so the timing difference is pure interpreter overhead.
+"""Benchmark the exact-search kernel: best-of-repeat time and node count per
+workload.
 
     python benchmarks/bench_search.py [--repeat 3]
 """
@@ -10,7 +8,7 @@ counts), so the timing difference is pure interpreter overhead.
 import argparse
 import time
 
-from toursub._kernel import available_backends
+from toursub._kernel import search_subdivision
 from toursub.core import (
     blowup_cyclic_triangle,
     random_tournament,
@@ -45,31 +43,16 @@ def main():
                         help="include the multi-second refutation workload")
     args = parser.parse_args()
 
-    backends = available_backends()
-    if "compiled" not in backends:
-        print("compiled kernel not built; only the pure backend will run")
-
     workloads = WORKLOADS + (HEAVY_WORKLOADS if args.heavy else [])
-    print(f"{'workload':44} " + " ".join(f"{name:>12}" for name in backends)
-          + "      nodes  speedup")
+    print(f"{'workload':44} {'time':>12}      nodes")
     for label, host, spec, max_len, exact_len in workloads:
         pattern = parse_pattern(spec)
-        times = {}
-        nodes = None
-        results = {}
-        for name, search in backends.items():
-            best = float("inf")
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                out = run(search, host, pattern, max_len, exact_len)
-                best = min(best, time.perf_counter() - t0)
-            times[name] = best
-            results[name] = out
-            nodes = out[3]
-        assert len(set(map(str, results.values()))) == 1, "backend results or node counts diverged"
-        cols = " ".join(f"{times[n] * 1000:>10.2f}ms" for n in backends)
-        speed = (times["pure"] / times["compiled"]) if "compiled" in times else 1.0
-        print(f"{label:44} {cols} {nodes:>10}  {speed:>6.1f}x")
+        best = float("inf")
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            out = run(search_subdivision, host, pattern, max_len, exact_len)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{label:44} {best * 1000:>10.2f}ms {out[3]:>10}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 tournaments: constructive finders, an exact search oracle, and a seeded
 experiment harness.
 
-The exact-search hot loop runs on a compiled extension when available and
-falls back to a pure-Python twin otherwise; see ``toursub._kernel``.
+The exact search runs on one pure-Python kernel; see ``toursub._kernel``.
 """
 
 from ._kernel import backend_name

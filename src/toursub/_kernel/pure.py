@@ -3,9 +3,7 @@
 Backtracks over injective branch assignments (ascending host order, no
 symmetry assumptions) and then over per-edge directed paths, always expanding
 the most constrained remaining pattern edge (the first in edge order on a
-tie).  Vertex sets are Python-int bitmasks, so this works for any host size;
-the compiled twin in ``_speedups.pyx`` shares its candidate order and node
-accounting on single-word hosts.
+tie).  Vertex sets are Python-int bitmasks, so this works for any host size.
 
 A node is one branch placement or one path vertex (or direct edge) placed;
 every node is counted before its subtree is searched, and the count is

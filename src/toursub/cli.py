@@ -52,7 +52,10 @@ def _range(text: str):
     """Parse '6..10' or '7' into a list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(text)]
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Cut, Tournament, _try_short_path, bits_of, first_window, mask_of
@@ -46,7 +45,6 @@ __all__ = [
     "derive_cut",
     "validate_cut",
     "minimize_cut",
-    "expansion_holds",
     "peel_low_outdegree",
     "embed_via_cut_chain",
     "find_complete_subdivision",
@@ -361,21 +359,6 @@ def minimize_cut(t: Tournament, cut: Cut) -> Cut:
         s_set -= nx
         if len(s_set) < len(u_set):
             raise RuntimeError("repair broke the |S| >= |U| invariant")
-
-
-def expansion_holds(t: Tournament, cut_vertices, source_vertices) -> bool:
-    """Brute-force expansion check: every nonempty X in U has
-    |N+(X) & S| >= |X|/2.  Exponential in |U|; meant for |U| <= ~12."""
-    u_list = sorted(cut_vertices)
-    s_mask = mask_of(source_vertices)
-    for size in range(1, len(u_list) + 1):
-        for combo in combinations(u_list, size):
-            hit = 0
-            for u in combo:
-                hit |= t.out_mask(u) & s_mask
-            if 2 * hit.bit_count() < size:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

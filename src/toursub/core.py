@@ -225,14 +225,6 @@ class Cut:
     m_prime: dict = field(default_factory=dict)
     m_dprime: dict = field(default_factory=dict)
 
-    @property
-    def u_prime(self) -> frozenset:
-        return frozenset(self.m_prime)
-
-    @property
-    def u_dprime(self) -> frozenset:
-        return frozenset(self.m_dprime)
-
 
 def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
     """Internals of an x -> y path of length 2 or 3 through ``avail``: the

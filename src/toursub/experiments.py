@@ -218,6 +218,8 @@ def sweep(
     """
     if finder not in SWEEP_COLUMNS:
         raise ValueError(f"unknown sweep finder {finder!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     kinds = kinds or (SWEEP_KINDS if finder == "complete" else TT_KINDS)
     jobs = [
         (finder, i, kinds[i % len(kinds)], n, k, str(scale), seed)

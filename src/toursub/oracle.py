@@ -115,6 +115,8 @@ def scan_d_lower(k, n_values, trials, seed, max_len=3, budget=DEFAULT_BUDGET):
     from .experiments import instance_seed
     from .subdivision import pattern_complete_digraph
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     pattern = pattern_complete_digraph(k)
     rows = []
     for n in n_values:

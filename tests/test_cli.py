@@ -137,11 +137,17 @@ def test_experiment_scan_dk_csv(tmp_path):
     assert len(lines) == 4 + 6
 
 
-def test_experiment_bad_host_size_is_an_error(tmp_path, capsys):
-    code = run(["experiment", "soundness-sweep", "--n", "abc",
-                "--out", str(tmp_path / "s.csv")])
-    assert code == 1
+@pytest.mark.parametrize("argv", [
+    pytest.param(["soundness-sweep", "--n", "abc"], id="n-not-a-number"),
+    pytest.param(["scan-dk", "--k", "2", "--n", "5..4"], id="n-empty-range"),
+    pytest.param(["scan-dk", "--k", "2", "--n", "4", "--trials", "-3"], id="scan-negative-trials"),
+    pytest.param(["soundness-sweep", "--n", "30", "--trials", "-1"], id="sweep-negative-trials"),
+])
+def test_experiment_bad_argument_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    assert run(["experiment", *argv, "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

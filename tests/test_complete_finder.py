@@ -8,7 +8,6 @@ from toursub.complete_finder import (
     _needed_pairs,
     derive_cut,
     embed_via_cut_chain,
-    expansion_holds,
     find_balanced_set,
     find_complete_subdivision,
     find_complete_subdivision_ex,
@@ -36,6 +35,7 @@ from toursub.errors import (
     InsufficientOutNeighbours,
     TooSmall,
 )
+from toursub.matching import hall_half_condition
 from toursub.params import FinderParams
 from toursub.subdivision import PatternDigraph, pattern_complete_digraph, verify
 
@@ -226,14 +226,17 @@ def test_minimize_cut_certificate_is_sound():
     for t, cut in outcomes:
         cert = minimize_cut(t, cut)
         # split halves are disjoint, cover the cut, and carry 1-1 matchings
-        assert cert.u_prime | cert.u_dprime == cert.cut
-        assert not (cert.u_prime & cert.u_dprime)
+        assert frozenset(cert.m_prime) | frozenset(cert.m_dprime) == cert.cut
+        assert frozenset(cert.m_prime).isdisjoint(cert.m_dprime)
         for m in (cert.m_prime, cert.m_dprime):
             assert len(set(m.values())) == len(m)
             for u, s in m.items():
                 assert t.has_edge(u, s) and s in cert.source
         if len(cert.cut) <= 12:
-            assert expansion_holds(t, cert.cut, cert.source)
+            assert hall_half_condition(
+                sorted(cert.cut),
+                {u: bits_of(t.out_mask(u) & mask_of(cert.source)) for u in cert.cut},
+            )
 
 
 # --- peeling --------------------------------------------------------------------
@@ -398,11 +401,14 @@ def test_chain_stages_are_certified_on_structured_hosts():
         t = stacked_triangles(60, 0.05, 2, seed)
         out, chain = find_complete_subdivision_ex(t, 3, params)
         for st in chain:
-            assert st.u_prime | st.u_dprime == st.cut
+            assert frozenset(st.m_prime) | frozenset(st.m_dprime) == st.cut
             if st.cut:
                 saw_nonempty = True
                 if len(st.cut) <= 12:
-                    assert expansion_holds(t, st.cut, st.source)
+                    assert hall_half_condition(
+                        sorted(st.cut),
+                        {u: bits_of(t.out_mask(u) & mask_of(st.source)) for u in st.cut},
+                    )
         if not isinstance(out, FailureTrace):
             assert verify(t, out, max_len=3).valid
     assert saw_nonempty
@@ -419,8 +425,11 @@ def test_failed_scaled_run_returns_its_certified_cuts():
     assert isinstance(out, FailureTrace) and out.stage == "derive-cut"
     assert [len(c.cut) for c in chain] == [0, 1, 1, 3, 1, 0, 0]
     for st in chain:
-        assert st.u_prime | st.u_dprime == st.cut
-        assert expansion_holds(t, st.cut, st.source)
+        assert frozenset(st.m_prime) | frozenset(st.m_dprime) == st.cut
+        assert hall_half_condition(
+            sorted(st.cut),
+            {u: bits_of(t.out_mask(u) & mask_of(st.source)) for u in st.cut},
+        )
 
 
 def test_failure_trace_only_on_scaled_runs():

@@ -2,7 +2,6 @@ import sys
 
 import pytest
 
-from toursub._kernel import available_backends
 from toursub.core import (
     Tournament,
     blowup_cyclic_triangle,
@@ -107,45 +106,8 @@ def test_no_k3_below_span_bound():
         assert not oracle_subdivision(t, q).found
 
 
-# --- backend parity -------------------------------------------------------------
-
-
-def test_backend_parity_on_corpus():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
-    pure = backends["pure"]
-    compiled = backends["compiled"]
-    cases = []
-    for seed in range(6):
-        cases.append((random_tournament(10, seed), parse_pattern("complete:3"), 3, None))
-        cases.append((random_tournament(8, seed + 50), parse_pattern("transitive:3"), 2, 2))
-        cases.append((random_tournament(12, seed + 100), parse_pattern("cycle:4"), 3, None))
-    cases.append((blowup_cyclic_triangle(4), parse_pattern("complete:3"), 2, None))
-    cases.append((rotational_tournament(9), parse_pattern("complete:3"), 3, None))
-    cases.append((transitive_tournament(7), parse_pattern("complete:2"), 7, None))
-    for t, pat, max_len, exact in cases:
-        masks = [t.out_mask(v) for v in t.vertices()]
-        a = pure(masks, pat.k, list(pat.edges), max_len, exact, 10**7)
-        b = compiled(masks, pat.k, list(pat.edges), max_len, exact, 10**7)
-        assert a == b
-
-
-def test_backend_parity_under_budget():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
-    t = random_tournament(12, 7)
-    masks = [t.out_mask(v) for v in t.vertices()]
-    pat = pattern_complete_digraph(3)
-    for budget in (1, 10, 100, 1000):
-        a = backends["pure"](masks, 3, list(pat.edges), 3, None, budget)
-        b = backends["compiled"](masks, 3, list(pat.edges), 3, None, budget)
-        assert a == b
-
-
-def test_large_hosts_use_pure_backend():
-    t = random_tournament(70, 1)  # beyond the compiled kernel's word width
+def test_oracle_on_a_host_past_one_machine_word():
+    t = random_tournament(70, 1)  # 70 vertices: out-masks wider than 64 bits
     out = oracle_subdivision(t, OracleQuery(pattern_complete_digraph(2), max_len=3))
     assert out.found
 
@@ -153,8 +115,7 @@ def test_large_hosts_use_pure_backend():
 def test_complete8_cap3_runs_under_the_default_recursion_limit():
     # The pure search nests about one frame per pattern edge plus the path
     # extensions: complete:8 has 56 edges, and its witness on rotational(81)
-    # takes 90 nodes and about 130 frames.  81 vertices is past the compiled
-    # kernel's word width, so this is the pure backend.
+    # takes 90 nodes and about 130 frames.
     t = rotational_tournament(81)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter default
