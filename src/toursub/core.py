@@ -9,6 +9,9 @@ integer bit arithmetic.
 A subtournament is a universe mask over its host; the finders restrict rows
 with ``& universe`` and report host vertices.  ``induced`` builds a
 standalone, renumbered copy.
+
+One bit transpose, ``_transpose``, gives a host's columns (its in-rows) to
+random generation and to the parser's orientation check.
 """
 
 from __future__ import annotations
@@ -53,6 +56,42 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# Warren's 8x8 transpose (Hacker's Delight, 7-3) of a little-endian 64-bit
+# lane, byte k row k: a step swaps bits p and p + shift for each p in mask.
+_SWAR_STEPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+_CHUNK_LANES = 4096  # lanes per SWAR pass, so no temporary is matrix-sized
+
+
+def _transpose(rows: Sequence[int], n: int) -> List[int]:
+    """Columns of the n x n bit matrix with the given rows: bit i of column
+    j is bit j of row i.
+
+    With B = ceil(n/8), the rows, padded to 8B, are laid out as B*B lanes:
+    lane (g, b) holds byte b of rows 8g..8g+7, one byte each, so it is the
+    8x8 block at row group g and column byte b.  Transposing every lane
+    makes byte c of that lane rows 8g..8g+7 of column 8b+c, so column j is
+    every (8B)-th byte from byte j."""
+    width = (n + 7) // 8
+    stride = 8 * width
+    pieces = [row.to_bytes(width, "little") for row in rows] + [bytes(width)] * (stride - n)
+    buf = bytearray(stride * width)
+    for k in range(8):
+        buf[k::8] = b"".join(pieces[k::8])
+    del pieces
+    lanes = min(width * width, _CHUNK_LANES)
+    steps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
+             for shift, mask in _SWAR_STEPS]
+    size = 8 * lanes
+    for lo in range(0, len(buf), size):
+        chunk = memoryview(buf)[lo:lo + size]
+        x = int.from_bytes(chunk, "little")
+        for shift, mask in steps:
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        chunk[:] = x.to_bytes(len(chunk), "little")
+    return [int.from_bytes(buf[j::stride], "little") for j in range(n)]
+
+
 class Tournament:
     """Immutable tournament on n vertices."""
 
@@ -80,9 +119,6 @@ class Tournament:
     def out_degree(self, v: int) -> int:
         return self._out[v].bit_count()
 
-    def in_degree(self, v: int) -> int:
-        return self.in_mask(v).bit_count()
-
     def vertices(self) -> range:
         return range(self.n)
 
@@ -100,20 +136,15 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random orientation of each pair, deterministic per seed.
 
     Row i draws the orientation of its pairs with later vertices as one
-    ``getrandbits(n-1-i)``; the pairs a row loses are the lower triangle of
-    the later rows, cut out by one block transpose."""
+    ``getrandbits(n-1-i)``.  Column j of these upper rows holds the earlier
+    vertices that beat j, so one ``_transpose`` gives every row the pairs it
+    lost."""
     if n < 1:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    full = (1 << n) - 1
     upper = [rng.getrandbits(n - 1 - i) << (i + 1) for i in range(n - 1)] + [0]
-    # Row i of ``lost``, most significant bit first: bit j is set iff i < j
-    # and j -> i.  Listing the rows last first makes column c, read as
-    # binary, the in-row of vertex n-1-c: the lower triangle of its out-row.
-    spec = f"0{n}b"
-    lost = [format((full >> (i + 1) << (i + 1)) ^ upper[i], spec) for i in range(n - 1, -1, -1)]
-    lower = [int(col, 2) for col in _columns(lost)][::-1]
-    return Tournament([u | l for u, l in zip(upper, lower)])
+    beaten_by = _transpose(upper, n)
+    return Tournament([u | ((1 << j) - 1) ^ c for j, (u, c) in enumerate(zip(upper, beaten_by))])
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -240,8 +271,6 @@ def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple
 
 
 FORMAT_HEADER = "tournament v1"
-_SWAP01 = str.maketrans("01", "10")
-_COLUMN_BLOCK = 128
 
 
 def _format_rows(t: Tournament) -> Iterator[str]:
@@ -255,19 +284,19 @@ def _format_rows(t: Tournament) -> Iterator[str]:
         yield row[:i] + "-" + row[i + 1:]
 
 
-def _check_orientation(rows: Sequence[str]) -> None:
-    """Antisymmetry and totality of a matrix of well-formed rows (``-`` on
-    the diagonal, ``0``/``1`` elsewhere): each row, with 0 and 1 swapped,
-    must equal its column.
+def _check_orientation(masks: Sequence[int]) -> None:
+    """Antisymmetry and totality of the parsed rows: each mask, xor its
+    transposed column, must hold every vertex but its own.
 
     Reports the pair with both directions at the smallest row, then the
     smallest column, before any missing pair.
     """
+    full = (1 << len(masks)) - 1
     not_total = False
-    for i, (row, col) in enumerate(zip(rows, _columns(rows))):
-        if row.translate(_SWAP01) == col:
+    for i, (row, col) in enumerate(zip(masks, _transpose(masks, len(masks)))):
+        if row ^ col == full ^ (1 << i):
             continue
-        both = _row_mask(row) & _row_mask(col)
+        both = row & col
         if both:
             j = (both & -both).bit_length() - 1
             raise ValueError(f"both directions present between {i} and {j}")
@@ -276,21 +305,9 @@ def _check_orientation(rows: Sequence[str]) -> None:
         raise ValueError("orientation is not total")
 
 
-def _columns(rows: Sequence[str]) -> Iterator[str]:
-    """Columns of a square matrix, in order.  Each block of columns is cut
-    from one block-wide string by strided slicing, so no Python step runs
-    per entry and no second full-size copy of the matrix is held."""
-    n = len(rows)
-    for lo in range(0, n, _COLUMN_BLOCK):
-        width = min(_COLUMN_BLOCK, n - lo)
-        block = "".join(map(itemgetter(slice(lo, lo + width)), rows))
-        for j in range(width):
-            yield block[j::width]
-
-
 def _row_mask(row: str) -> int:
-    """Bitmask of the ``1`` positions of a well-formed row or column: one
-    ``-``, binary digits elsewhere."""
+    """Bitmask of the ``1`` positions of a well-formed row: one ``-``,
+    binary digits elsewhere."""
     return int(row[::-1].replace("-", "0"), 2)
 
 
@@ -335,7 +352,8 @@ def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
     row of n ASCII bytes that are ``0``/``1`` apart from one ``-`` at its
     diagonal is byte for byte the ``format_tournament`` row, so the host
     carries ``tournament_hash`` of its canonical text without formatting it.
-    Every pair must then have exactly one direction."""
+    The row strings are then dropped, and every pair must have exactly one
+    direction: each mask, xor its column, holds every other vertex."""
     if isinstance(text, str):
         pieces: Iterable[str] = text.splitlines()
     else:
@@ -363,7 +381,8 @@ def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
         digest.update(raw)
         digest.update(b"\n")
         out.append(_row_mask(row))
-    _check_orientation(rows)
+    del pieces, lines, rows  # the text goes before the columns are built
+    _check_orientation(out)
     t = Tournament(out)
     t._hash = digest.hexdigest()
     return t

@@ -65,24 +65,21 @@ def _stack(block: Sequence[int], layers: int, flip: float, reach: int, seed: int
     transitively (layer 0 on top); a lower vertex beats an upper one only
     within ``reach`` layers, with probability ``flip``.
 
-    Only the pairs within ``reach`` draw from the rng, one ``random()`` each,
-    row by row and left to right; every pair beyond the band is forward."""
+    Each row starts as its block row plus every lower layer.  Only the pairs
+    within ``reach`` draw from the rng, one ``random()`` each, row by row and
+    left to right, and only the drawn flips are then reversed."""
     rng = random.Random(seed)
     width = len(block)
     n = width * layers
     full = (1 << n) - 1
-    out = [0] * n
-    for i in range(n):
-        layer, p = divmod(i, width)
-        lo = (layer + 1) * width
-        hi = min(n, lo + max(reach, 0) * width)
-        row = block[p] << (layer * width) | (full >> hi << hi)
-        for j in range(lo, hi):
-            if rng.random() < flip:
-                out[j] |= 1 << i
-            else:
-                row |= 1 << j
-        out[i] |= row
+    out = [b << lo | full >> (lo + width) << (lo + width) for lo in range(0, n, width) for b in block]
+    band = max(reach, 0) * width
+    for lo in range(width, n, width):  # lo: the first vertex below the layer
+        hi = min(n, lo + band)
+        flips = [(i, j) for i in range(lo - width, lo) for j in range(lo, hi) if rng.random() < flip]
+        for i, j in flips:
+            out[i] ^= 1 << j
+            out[j] |= 1 << i
     return Tournament(out)
 
 

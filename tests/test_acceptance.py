@@ -96,7 +96,7 @@ def test_acceptance_3_low_degree_count_bound():
         seed = instance_seed(base, i)
         n = 5 + seed % 196  # n in [5, 200]
         t = random_tournament(n, seed)
-        ins = sorted(t.in_degree(v) for v in t.vertices())
+        ins = sorted(t.n - 1 - t.out_degree(v) for v in t.vertices())
         outs = sorted(t.out_degree(v) for v in t.vertices())
         for degs in (ins, outs):
             count = 0
@@ -230,14 +230,14 @@ def test_acceptance_7_nearly_regular_extraction():
         n = t.n
         ratio_count = 0
         for v in t.vertices():
-            dp, dm = t.out_degree(v), t.in_degree(v)
+            dp, dm = t.out_degree(v), t.n - 1 - t.out_degree(v)
             if dp and dm and max(dp / dm, dm / dp) <= 4:
                 ratio_count += 1
         assert 5 * ratio_count >= n
         nr = find_nearly_regular(t)
         assert 10 * len(nr.vertices) >= n
         for v in nr.vertices:
-            dp, dm = t.out_degree(v), t.in_degree(v)
+            dp, dm = t.out_degree(v), t.n - 1 - t.out_degree(v)
             if nr.side == "out":
                 assert dm <= dp <= 4 * dm
             else:

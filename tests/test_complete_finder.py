@@ -73,7 +73,7 @@ def test_balanced_set_invariants_on_random_host():
     assert len(bal.vertices) == 3
     floor = params.deg_floor(bal.alpha)
     for v in bal.vertices:
-        d = t.in_degree(v)
+        d = t.n - 1 - t.out_degree(v)
         assert d >= floor
         assert abs(d - bal.m) <= params.slack or abs(d - bal.m) <= params.window_width
         assert bal.window[0] <= d <= bal.window[1]

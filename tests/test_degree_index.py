@@ -114,7 +114,7 @@ def reference_nearly_regular_k(t, k):
     width = DEGREE_WINDOW_FACTOR * k
     start = 0
     while start < t.n:
-        members = [v for v in base_set.vertices if start <= t.in_degree(v) < start + width]
+        members = [v for v in base_set.vertices if start <= t.n - 1 - t.out_degree(v) < start + width]
         if len(members) >= k:
             return NearlyRegularSet(
                 vertices=tuple(sorted(members)[:k]),

@@ -1,19 +1,24 @@
-"""Host generators and ``induced`` against per-bit references.
+"""Host generators, ``induced`` and the bit transpose against per-bit
+references.
 
 The reference functions below are the per-bit implementations the row-wise
 ones replaced.  Each generator must build the same out-rows from the same
 seed, drawing the same random numbers in the same order, and ``induced``
-must return the same rows.
+and ``_transpose`` must return the same rows.
 """
 
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toursub.core import (
+    _CHUNK_LANES,
     Tournament,
+    _transpose,
     bits_of,
     blowup_cyclic_triangle,
     format_tournament,
@@ -93,6 +98,10 @@ def reference_build_host(kind, n, seed):
     return reference_stacked_clusters(5, max(2, n // 5), 0.1, 1, seed)
 
 
+def reference_transpose(rows, n):
+    return [sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)]
+
+
 def reference_induced(t, vertices):
     sub = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(sub)}
@@ -104,6 +113,35 @@ def reference_induced(t, vertices):
                 row |= 1 << pos[w]
         out.append(row)
     return Tournament(out)
+
+
+# --- transpose -----------------------------------------------------------------
+
+# The smallest n whose ceil(n/8)**2 lanes fill more than one SWAR chunk.
+TWO_CHUNKS = 8 * math.isqrt(_CHUNK_LANES) + 1
+# 8-row blocks, 64-bit lanes and the chunk boundary, each from both sides.
+BOUNDARY_N = [7, 8, 9, 63, 64, 65, TWO_CHUNKS - 1, TWO_CHUNKS, TWO_CHUNKS + 1]
+
+
+@st.composite
+def bit_matrices(draw):
+    n = draw(st.integers(1, 150))
+    row = st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1))
+    return draw(st.lists(row, min_size=n, max_size=n)), n
+
+
+@given(bit_matrices())
+@settings(max_examples=300, deadline=None)
+def test_transpose_matches_reference(case):
+    rows, n = case
+    assert _transpose(rows, n) == reference_transpose(rows, n)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_N)
+def test_transpose_matches_reference_at_boundaries(n):
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(n - 2)] + [0, (1 << n) - 1]
+    assert _transpose(rows, n) == reference_transpose(rows, n)
 
 
 # --- generators ----------------------------------------------------------------
@@ -120,9 +158,23 @@ def test_random_tournament_matches_reference(n, seed):
     assert parse_tournament(format_tournament(t)) == t
 
 
-@pytest.mark.parametrize("n", [127, 128, 129, 257, 600])
-def test_random_tournament_matches_reference_across_column_blocks(n):
+@pytest.mark.parametrize("n", sorted(BOUNDARY_N + [127, 128, 129, 257, 600]))
+def test_random_tournament_matches_reference_across_lanes_and_chunks(n):
     assert random_tournament(n, n) == reference_random_tournament(n, n)
+
+
+def test_random_tournament_peaks_under_one_byte_per_entry():
+    # The upper rows, their columns and the result are n/8 bytes each per
+    # row; the transpose's byte matrix is another n**2/8, and its SWAR
+    # temporaries are chunk-sized.
+    n = 1350
+    tracemalloc.start()
+    try:
+        random_tournament(n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * n ** 2
 
 
 @given(st.integers(1, 40))

@@ -258,8 +258,8 @@ def test_error_order_on_every_pair_flipped(n):
 
 
 def test_seeded_mutations_of_a_larger_host():
-    # 300 vertices: rows wider than a machine word, columns cut from three
-    # blocks.
+    # 300 vertices: rows wider than a machine word, 38 bytes each, so the
+    # orientation check transposes 38 x 38 lanes.
     t = random_tournament(300, 5)
     text = format_tournament(t)
     assert parse_tournament(text) == t
@@ -268,6 +268,23 @@ def test_seeded_mutations_of_a_larger_host():
         pos = rng.randrange(len(text))
         bad = mutate(text, pos, rng.choice(["flip", "flip", "replace"]), rng.choice("01-x "))
         assert outcome(parse_tournament, bad) == outcome(reference_parse, bad)
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("11", "both directions present between 600 and 650"),
+    ("00", "orientation is not total"),
+])
+def test_orientation_error_in_a_later_chunk(pair, message):
+    # Entries (600, 650) and (650, 600) are bits of lane (650 // 8, 600 // 8)
+    # of the transpose, past its first chunk.
+    n, i, j = 700, 600, 650
+    assert (j // 8) * ((n + 7) // 8) + i // 8 >= toursub.core._CHUNK_LANES
+    lines = format_tournament(random_tournament(n, 3)).splitlines()
+    for (a, b), ch in zip([(i, j), (j, i)], pair):
+        row = lines[2 + a]
+        lines[2 + a] = row[:b] + ch + row[b + 1:]
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_tournament, text) == outcome(reference_parse, text) == f"ValueError: {message}"
 
 
 @pytest.mark.parametrize("name, build", [
