@@ -12,17 +12,32 @@ edge (out-neighbours of its tail, in-neighbours of its head, their meet,
 the direct edge) depend only on its two branch vertices, so they are
 computed when the larger of its ends is placed, not at every path search.
 
+Failed embedding states are recorded (nogood recording; Dechter,
+Artificial Intelligence 41, 1990).  Under a fixed branch map the search
+below an embedding state depends only on its pending edges and ``used``:
+the per-edge masks are fixed, the pick is the first minimum of estimates
+taken from the free vertices, candidates run in ascending order, and a
+path search reads only ``out``, ``head_in`` and ``used``.  So a state that
+failed once fails again after the same number of nodes, which the table
+stores.  A revisit adds them, stopping at ``budget + 1`` if they pass the
+budget, as the node-by-node search does, with nothing found before.  A
+state is never its own descendant (each step drops a pending edge) and a
+success returns before any record, so the result and node count are those
+of the search without the table.  The table is cleared at each full
+branch map and when it holds ``_TABLE_LIMIT`` entries.
+
 NotFound is exact: when the search exhausts without exceeding the node
 budget, no subdivision within the length caps exists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 NOTFOUND = 0
 FOUND = 1
 BUDGET_EXCEEDED = 2
+_TABLE_LIMIT = 1 << 16  # failed states kept before the table is cleared
 
 
 class _Budget(Exception):
@@ -70,6 +85,8 @@ def search_subdivision(
     # One buffer per edge: the path searches of later edges run inside
     # this edge's ``extend`` and must not overwrite its prefix.
     chains = [[0] * max(hi_len, 1) for _ in range(m)]
+    # (pending mask << n) | used -> nodes counted below that failed state.
+    failed: Dict[int, int] = {}
 
     def long_path(x: int, y: int, pool: int) -> bool:
         # Necessary condition only: distinctness of internals is ignored.
@@ -120,16 +137,27 @@ def search_subdivision(
                 if i < k - 1:
                     if assign_branch(i + 1):
                         return True
-                elif embed_edges(all_edges):
-                    return True
+                else:
+                    failed.clear()
+                    if embed_edges(all_edges, (1 << m) - 1):
+                        return True
             branch[i] = -1
             used ^= bit
         return False
 
-    def embed_edges(pending: List[int]) -> bool:
+    def embed_edges(pending: List[int], pmask: int) -> bool:
         nonlocal used, nodes
         if not pending:
             return True
+        key = (pmask << n) | used
+        seen = failed.get(key)
+        if seen is not None:
+            nodes += seen
+            if nodes > budget:
+                nodes = budget + 1
+                raise _Budget
+            return False
+        start = nodes
         free = full & ~used
         if longer:
             est = [direct[e] + (both[e] & free).bit_count()
@@ -138,37 +166,40 @@ def search_subdivision(
         else:
             est = [direct[e] + (both[e] & free).bit_count() for e in pending]
         best = min(est)
-        if not best:
-            return False
-        j = est.index(best)
-        pick = pending[j]
-        rest = pending[:j] + pending[j + 1:]
-
-        if direct[pick]:
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            internals[pick] = ()
-            if embed_edges(rest):
-                return True
-        cands = both[pick] & free
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            used |= bit
-            internals[pick] = (bit.bit_length() - 1,)
-            if embed_edges(rest):
-                return True
-            used ^= bit
-        for length in long_lengths:
-            if extend(0, length - 2, tail_out[pick], pick, rest):
-                return True
+        if best:
+            j = est.index(best)
+            pick = pending[j]
+            rest = pending[:j] + pending[j + 1:]
+            rmask = pmask ^ (1 << pick)
+            if direct[pick]:
+                nodes += 1
+                if nodes > budget:
+                    raise _Budget
+                internals[pick] = ()
+                if embed_edges(rest, rmask):
+                    return True
+            cands = both[pick] & free
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                nodes += 1
+                if nodes > budget:
+                    raise _Budget
+                used |= bit
+                internals[pick] = (bit.bit_length() - 1,)
+                if embed_edges(rest, rmask):
+                    return True
+                used ^= bit
+            for length in long_lengths:
+                if extend(0, length - 2, tail_out[pick], pick, rest, rmask):
+                    return True
+        if len(failed) >= _TABLE_LIMIT:
+            failed.clear()
+        failed[key] = nodes - start
         return False
 
-    def extend(depth: int, last: int, reach: int, pick: int, rest: List[int]) -> bool:
+    def extend(depth: int, last: int, reach: int, pick: int, rest: List[int],
+               rmask: int) -> bool:
         # Places internal ``depth`` (of ``last + 1``) among ``reach``, the
         # out-neighbours of the previous path vertex.
         nonlocal used, nodes
@@ -187,15 +218,15 @@ def search_subdivision(
             used |= bit
             if depth == last:
                 internals[pick] = tuple(chain[:depth + 1])
-                if embed_edges(rest):
+                if embed_edges(rest, rmask):
                     return True
-            elif extend(depth + 1, last, out[z], pick, rest):
+            elif extend(depth + 1, last, out[z], pick, rest, rmask):
                 return True
             used ^= bit
         return False
 
     try:
-        found = assign_branch(0) if k > 0 else embed_edges(all_edges)
+        found = assign_branch(0) if k > 0 else embed_edges(all_edges, (1 << m) - 1)
     except _Budget:
         return BUDGET_EXCEEDED, None, None, nodes
     if found:

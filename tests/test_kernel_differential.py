@@ -1,10 +1,14 @@
 """The pure search kernel against a frozen copy of its earlier form.
 
 ``reference_search`` below is the pure kernel before its per-node cost was
-cut, kept verbatim.  The kernel must return the identical
-``(status, branch, internals, nodes)`` tuple on every input, a budget stop
-included: the same branch and candidate order, the same most-constrained
-edge (the first on a tie) and the same node at which each count is taken.
+cut and before it recorded failed embedding states, kept verbatim.  The
+kernel must return the identical ``(status, branch, internals, nodes)``
+tuple on every input, a budget stop included: the same branch and candidate
+order, the same most-constrained edge (the first on a tie) and the same
+node at which each count is taken.  A revisited failed state adds the nodes
+of its first visit at once, so budget stops inside such skips are tested on
+symmetric hosts, where states recur, at strided budgets on two refutations,
+and with the table cleared after every one or three records.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -295,3 +299,77 @@ def test_workload_node_counts_are_pinned(t, spec, max_len, exact_len, status, no
     assert (got[0], got[3]) == (status, nodes)
     if nodes < 100_000:
         assert got == reference_search(*args)
+
+
+# --- the failed-state table -------------------------------------------------------
+
+
+def relabeled(masks: List[int], perm: List[int]) -> List[int]:
+    """Out-masks of the copy in which vertex v is called perm[v]."""
+    out = [0] * len(masks)
+    for v, mask in enumerate(masks):
+        for w in _bits(mask):
+            out[perm[v]] |= 1 << perm[w]
+    return out
+
+
+@st.composite
+def symmetric_hosts(draw):
+    # Blow-ups and rotational tournaments have many automorphisms, so
+    # embedding states recur and the table hits; on random hosts it rarely
+    # does.
+    t = draw(st.sampled_from([blowup_cyclic_triangle(2), blowup_cyclic_triangle(3)]
+                             + [rotational_tournament(n) for n in range(5, 10, 2)]))
+    return relabeled(host_masks(t), draw(st.permutations(range(t.n))))
+
+
+# Patterns large enough for a search to revisit states.
+larger_patterns = st.sampled_from([s for s in PATTERN_SPECS if int(s.split(":")[1]) >= 3])
+
+
+@given(symmetric_hosts(), larger_patterns.map(parse_pattern), st.integers(2, 4),
+       st.none() | st.integers(2, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_same_result_as_the_reference_on_symmetric_hosts(masks, pattern, max_len,
+                                                        exact_len, data):
+    ref, got = run_both(masks, pattern, max_len, exact_len, NODE_CAP)
+    assert got == ref
+    budget = data.draw(st.integers(0, ref[3]), label="budget")
+    ref, got = run_both(masks, pattern, max_len, exact_len, budget)
+    assert got == ref
+
+
+# Refutations on blowup(3) whose searches revisit failed states: 69 hits on
+# the first; on the second, 768 hits that skip 972 nodes.
+TABLE_QUERIES = [
+    ("transitive:4", 2, 2, 2_259),
+    ("complete:3", 3, 3, 4_746),
+]
+
+
+@pytest.mark.parametrize("spec, max_len, exact_len, nodes", TABLE_QUERIES)
+def test_table_queries_stop_at_the_same_node(spec, max_len, exact_len, nodes):
+    masks = host_masks(blowup_cyclic_triangle(3))
+    pattern = parse_pattern(spec)
+    args = (masks, pattern.k, list(pattern.edges), max_len, exact_len)
+    for budget in (nodes, 10**9):
+        assert pure.search_subdivision(*args, budget) == reference_search(*args, budget) \
+            == (NOTFOUND, None, None, nodes)
+    # The reference counts one node at a time, so on a refutation of ``nodes``
+    # nodes every smaller budget stops it at ``budget + 1``.  Many of the
+    # strided budgets fall inside the node ranges that table hits skip.
+    for budget in range(0, nodes, 7 if nodes < 3000 else 17):
+        assert pure.search_subdivision(*args, budget) == (BUDGET_EXCEEDED, None, None,
+                                                          budget + 1), budget
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+@pytest.mark.parametrize("spec, max_len, exact_len, nodes", TABLE_QUERIES)
+def test_a_cleared_table_gives_the_same_result(monkeypatch, limit, spec, max_len,
+                                              exact_len, nodes):
+    monkeypatch.setattr(pure, "_TABLE_LIMIT", limit)
+    masks = host_masks(blowup_cyclic_triangle(3))
+    pattern = parse_pattern(spec)
+    for budget in [*range(0, nodes, 149), nodes - 1, nodes, 10**9]:
+        ref, got = run_both(masks, pattern, max_len, exact_len, budget)
+        assert got == ref, budget
