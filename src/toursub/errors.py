@@ -20,9 +20,11 @@ class InfeasibleSize(ToursubError):
 class StageFailure(ToursubError):
     """A threshold miss that ends a finder run at a named stage.
 
-    The finder turns it into the run's FailureTrace through
-    ``FailureTrace.from_error``; the complete-digraph driver lets it
-    propagate instead at scale 1, where the thresholds are guaranteed.
+    The one failure protocol: a stage raises it, and each public finder
+    catches it in one place and converts it once into the run's
+    FailureTrace through ``FailureTrace.from_error``.  Only the
+    complete-digraph driver re-raises instead, at scale 1, where its
+    thresholds are guaranteed; the transitive finders convert at every scale.
     """
 
     stage = ""
@@ -93,10 +95,9 @@ class FailureTrace:
     details: dict = field(default_factory=dict)
 
     @classmethod
-    def from_error(cls, exc: StageFailure, **details) -> "FailureTrace":
-        """The trace of a stage failure: its stage, reason and details,
-        followed by any details the caller adds."""
-        return cls(stage=exc.stage, reason=exc.reason, details={**exc.details, **details})
+    def from_error(cls, exc: StageFailure) -> "FailureTrace":
+        """The trace of a stage failure: its stage, reason and details."""
+        return cls(stage=exc.stage, reason=exc.reason, details=dict(exc.details))
 
     def to_json(self) -> dict:
         return {"stage": self.stage, "reason": self.reason, "details": dict(self.details)}

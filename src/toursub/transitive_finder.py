@@ -13,6 +13,9 @@ Both recurse on universe masks (``universe``, ``uni``) of the host they were
 given, with degrees counted inside the mask, so every vertex a stage returns
 is a host vertex.  ``bits_of(uni)`` is ascending, so lowest-index tie-breaks
 pick what they would on ``induced(t, bits_of(uni))``.
+
+Failures: every stage raises a ``StageFailure``, and ``find_tt_len3`` and
+``find_one_subdivision`` each turn it into the run's ``FailureTrace`` once.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Tournament, _try_short_path, bits_of, first_window, mask_of
-from .errors import BallTooLarge, FailureTrace, InfeasibleSize, TooSmall
+from .errors import BallTooLarge, FailureTrace, InfeasibleSize, StageFailure, TooSmall
 from .params import FinderParams
 from .subdivision import PathWitness, Subdivision, pattern_transitive
 
@@ -152,17 +155,17 @@ def find_tt_len3(
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {float(params.tt3_min_size):.0f}"
         )
-    return _tt3_recurse(t, t.full_mask, k, params)
+    try:
+        return _tt3_recurse(t, t.full_mask, k, params)
+    except StageFailure as exc:
+        return FailureTrace.from_error(exc)
 
 
-def _tt3_recurse(
-    t: Tournament, uni: int, k: int, params: FinderParams
-) -> Union[Subdivision, FailureTrace]:
+def _tt3_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Subdivision:
     pattern = pattern_transitive(k)
     n = uni.bit_count()
     if n < k:
-        return FailureTrace(stage="recursion-size", reason="fewer vertices than k",
-                            details={"n": n, "k": k})
+        raise TooSmall("fewer vertices than k", stage="recursion-size", n=n, k=k)
     if k <= 2:
         branch = tuple(islice(bits_of(uni), k))
         if k == 2 and not t.has_edge(*branch):
@@ -172,7 +175,8 @@ def _tt3_recurse(
     try:
         near = find_nearly_regular_k(t, k, uni)
     except TooSmall as exc:
-        return FailureTrace.from_error(exc, n=n, k=k)
+        exc.details.update(n=n, k=k)
+        raise
 
     # Branch order: non-increasing out-degree inside the branch set, so
     # forward host edges double as length-1 paths wherever possible.
@@ -191,15 +195,8 @@ def _tt3_recurse(
     return Subdivision(pattern, tuple(sigma), paths)
 
 
-def _tt3_split(
-    t: Tournament,
-    uni: int,
-    k: int,
-    params: FinderParams,
-    x: int,
-    y: int,
-    used: int,
-) -> Union[Subdivision, FailureTrace]:
+def _tt3_split(t: Tournament, uni: int, k: int, params: FinderParams,
+               x: int, y: int, used: int) -> Subdivision:
     """Stuck-pair split: among still-available vertices the common
     in-neighbourhood B of (x, y) sends every edge to the common
     out-neighbourhood A, so a transitive subdivision in B followed by one in
@@ -221,27 +218,28 @@ def _tt3_split(
     # transitive order because every edge runs B -> A.
     kb, ka = (k_big, k_small) if b_size >= a_size else (k_small, k_big)
     if b_size < kb or a_size < ka or kb < 1 or ka < 1:
-        return FailureTrace(
-            stage="recursion-size",
-            reason="stuck-pair split leaves a side too small",
-            details={"A": a_size, "B": b_size, "need_A": ka, "need_B": kb},
-        )
+        raise TooSmall("stuck-pair split leaves a side too small", stage="recursion-size",
+                       A=a_size, B=b_size, need_A=ka, need_B=kb)
     first = _tt3_recurse(t, b_mask, kb, params)
-    if isinstance(first, FailureTrace):
-        return first
     second = _tt3_recurse(t, a_mask, ka, params)
-    if isinstance(second, FailureTrace):
-        return second
+    return _join(first, second, lambda u, v, hx, hy: ())
 
-    pattern = pattern_transitive(k)
-    branch = first.branch + second.branch
+
+def _join(first: Subdivision, second: Subdivision,
+          cross: Callable[[int, int, int, int], Tuple[int, ...]]) -> Subdivision:
+    """``first`` followed by ``second`` as one transitive subdivision: the
+    second half's pattern indices shift past the first's, and each cross pair
+    (u, v) of branch vertices (hx, hy) gets the internals ``cross(u, v, hx, hy)``,
+    asked in (u, v) order."""
+    shift = len(first.branch)
     paths: Dict[Tuple[int, int], PathWitness] = dict(first.paths)
     for (u, v), w in second.paths.items():
-        paths[(u + kb, v + kb)] = w
-    for u in range(kb):
-        for v in range(ka):
-            paths[(u, kb + v)] = PathWitness(first.branch[u], second.branch[v], ())
-    return Subdivision(pattern, branch, paths)
+        paths[(u + shift, v + shift)] = w
+    for u, hx in enumerate(first.branch):
+        for v, hy in enumerate(second.branch):
+            paths[(u, shift + v)] = PathWitness(hx, hy, cross(u, v, hx, hy))
+    branch = first.branch + second.branch
+    return Subdivision(pattern_transitive(len(branch)), branch, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +542,13 @@ def find_one_subdivision(
         raise InfeasibleSize(
             f"{t.n} vertices is below the required {params.onesub_min_size:.0f}"
         )
-    return _onesub_recurse(t, t.full_mask, k, params)
+    try:
+        return _onesub_recurse(t, t.full_mask, k, params)
+    except StageFailure as exc:
+        return FailureTrace.from_error(exc)
 
 
-def _onesub_base(t: Tournament, uni: int, k: int) -> Union[Subdivision, FailureTrace]:
+def _onesub_base(t: Tournament, uni: int, k: int) -> Subdivision:
     """Place branch and internal vertices along a transitive chain.
 
     A 1-subdivision of T_k needs k + k(k-1)/2 chain vertices; for k <= 3 the
@@ -556,11 +557,8 @@ def _onesub_base(t: Tournament, uni: int, k: int) -> Union[Subdivision, FailureT
     need = k + k * (k - 1) // 2
     chain = transitive_chain(t, uni)
     if len(chain) < need:
-        return FailureTrace(
-            stage="base-transitive",
-            reason=f"transitive chain of {len(chain)} < {need} vertices",
-            details={"n": uni.bit_count(), "k": k},
-        )
+        raise TooSmall(f"transitive chain of {len(chain)} < {need} vertices",
+                       stage="base-transitive", n=uni.bit_count(), k=k)
     chain = chain[:need]
     if k == 2:
         branch = (chain[0], chain[2])
@@ -578,17 +576,11 @@ def _onesub_base(t: Tournament, uni: int, k: int) -> Union[Subdivision, FailureT
     return Subdivision(pattern, branch, paths)
 
 
-def _onesub_recurse(
-    t: Tournament, uni: int, k: int, params: FinderParams
-) -> Union[Subdivision, FailureTrace]:
+def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Subdivision:
     if k <= 3:
         return _onesub_base(t, uni, k)
 
-    g = build_aux_graph(t, k, params, uni)
-    try:
-        decomp = ball_decomposition(g)
-    except BallTooLarge as exc:
-        return FailureTrace.from_error(exc)
+    decomp = ball_decomposition(build_aux_graph(t, k, params, uni))
     verts = list(bits_of(uni))
     comps = [[verts[v] for v in sorted(c)] for c in decomp.components]
     part = partition_components(t, comps, uni)
@@ -597,48 +589,34 @@ def _onesub_recurse(
     k_second = k // 2
     left, right = part.x_cap_a1, part.y_cap_a2
     if len(left) < k_first or len(right) < k_second:
-        return FailureTrace(
-            stage="recursion-size",
-            reason="component split leaves a side too small",
-            details={"left": len(left), "right": len(right), "k": k},
-        )
+        raise TooSmall("component split leaves a side too small", stage="recursion-size",
+                       left=len(left), right=len(right), k=k)
     first = _onesub_recurse(t, mask_of(left), k_first, params.rescaled(k_first))
-    if isinstance(first, FailureTrace):
-        return first
     second = _onesub_recurse(t, mask_of(right), k_second, params.rescaled(k_second))
-    if isinstance(second, FailureTrace):
-        return second
 
     # Join: every cross pair gets a fresh midpoint from the whole universe.
     used = 0
     for sub in (first, second):
         used |= mask_of(sub.branch) | mask_of(sub.internal_vertices())
-
-    pattern = pattern_transitive(k)
-    branch = first.branch + second.branch
-    paths: Dict[Tuple[int, int], PathWitness] = dict(first.paths)
-    for (u, v), w in second.paths.items():
-        paths[(u + k_first, v + k_first)] = w
     # Cross pairs sit in different aux-graph components with the first-half
     # vertex earlier in the degree order, so their 2-path candidate pool is
     # at least (threshold - 2) / 2 before exclusions.
     margin = (params.aux_threshold - 2) / 2
-    for u, hx in enumerate(first.branch):
-        for v, hy in enumerate(second.branch):
-            pool = t.out_mask(hx) & t.in_mask(hy) & uni
-            if pool.bit_count() < margin:
-                raise RuntimeError(
-                    f"cross pair ({u},{v}) has {pool.bit_count()} midpoints, below the "
-                    f"guaranteed {float(margin):.1f}"
-                )
-            cands = pool & ~used
-            if not cands:
-                return FailureTrace(
-                    stage="cross-pair-exhaustion",
-                    reason=f"no free midpoint for cross pair ({u},{v})",
-                    details={"x": hx, "y": hy},
-                )
-            z = (cands & -cands).bit_length() - 1
-            used |= 1 << z
-            paths[(u, k_first + v)] = PathWitness(hx, hy, (z,))
-    return Subdivision(pattern, branch, paths)
+
+    def midpoint(u: int, v: int, hx: int, hy: int) -> Tuple[int]:
+        nonlocal used
+        pool = t.out_mask(hx) & t.in_mask(hy) & uni
+        if pool.bit_count() < margin:
+            raise RuntimeError(
+                f"cross pair ({u},{v}) has {pool.bit_count()} midpoints, below the "
+                f"guaranteed {float(margin):.1f}"
+            )
+        cands = pool & ~used
+        if not cands:
+            raise TooSmall(f"no free midpoint for cross pair ({u},{v})",
+                           stage="cross-pair-exhaustion", x=hx, y=hy)
+        z = (cands & -cands).bit_length() - 1
+        used |= 1 << z
+        return (z,)
+
+    return _join(first, second, midpoint)

@@ -72,6 +72,39 @@ def test_find_failure_trace_exit_code(tmp_path, capsys):
     assert "failure" in out
 
 
+# (gen arguments, find arguments, expected failure) for each stage the two
+# transitive finders report on a small host.  The whole stdout is pinned, so
+# the key order inside "details" is part of the contract.
+FIND_FAILURES = [
+    (["--kind", "transitive", "--n", "40"], ["tt3", "--k", "12", "--scale", "1/1000"],
+     {"stage": "nearly-regular", "reason": "need at least 120 vertices for k=12",
+      "details": {"n": 40, "k": 12}}),
+    (["--kind", "random", "--n", "3", "--seed", "0"], ["tt3", "--k", "4", "--scale", "1/12"],
+     {"stage": "recursion-size", "reason": "fewer vertices than k",
+      "details": {"n": 3, "k": 4}}),
+    (["--kind", "random", "--n", "20", "--seed", "0"],
+     ["onesub", "--k", "5", "--scale", "1/1000"],
+     {"stage": "cross-pair-exhaustion", "reason": "no free midpoint for cross pair (1,1)",
+      "details": {"x": 1, "y": 5}}),
+    (["--kind", "random", "--n", "8", "--seed", "0"], ["onesub", "--k", "3", "--scale", "1/12"],
+     {"stage": "base-transitive", "reason": "transitive chain of 5 < 6 vertices",
+      "details": {"n": 8, "k": 3}}),
+    (["--kind", "random", "--n", "3", "--seed", "0"], ["onesub", "--k", "4", "--scale", "1/12"],
+     {"stage": "aux-graph-precondition",
+      "reason": "ball of radius 1 around 0 has 3 vertices, bound 0.546",
+      "details": {"vertex": 0, "radius": 1, "size": 3}}),
+]
+
+
+@pytest.mark.parametrize("gen_args, find_args, failure", FIND_FAILURES)
+def test_find_failure_bytes(tmp_path, capsys, gen_args, find_args, failure):
+    host = tmp_path / "t.txt"
+    assert run(["gen", *gen_args, "--out", str(host)]) == 0
+    capsys.readouterr()
+    assert run(["find", find_args[0], "--input", str(host), *find_args[1:]]) == 2
+    assert capsys.readouterr().out == json.dumps({"failure": failure}, indent=2) + "\n"
+
+
 def test_oracle_exit_codes(tmp_path):
     tri = tmp_path / "tri.txt"
     tri.write_text("tournament v1\n3\n-10\n0-1\n10-\n")  # cyclic triangle

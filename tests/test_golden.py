@@ -11,6 +11,14 @@ seeded host reaches it (``derive-cut``, ``balanced-set``,
 already rejects a sink smaller than k (``derive-cut``), and the repair only
 grows the sink, so the repair's own sink check never fires from the driver.
 ``iterate`` (the working set shrinking below k) is not reached either.
+
+The transitive finders reach ``nearly-regular``, ``aux-graph-precondition``,
+``cross-pair-exhaustion``, ``base-transitive`` and the plain ``recursion-size``
+(fewer vertices than k).  The two split variants of ``recursion-size`` (a
+stuck-pair or component split leaving a side too small) are not in the
+corpus: no seeded host reached them in a scan of every sweep generator at
+n = 3, 10, ..., 248 (seeds 0-2), tt3 k in {3, 4, 5, 6, 8, 12} and onesub k
+in {4, 5, 6, 8}, at scales 1/12, 1/100 and 1/1000.
 """
 
 import hashlib
@@ -93,6 +101,7 @@ CORPUS = {
         "tt3", lambda: build_host("triangles_sparse", 170, 5), 4, "1/12"),
     "tt3 blowup nearly-regular": ("tt3", lambda: build_host("blowup", 40, 0), 4, "1/12"),
     "tt3 transitive(40) k12": ("tt3", lambda: transitive_tournament(40), 12, "1/1000"),
+    "tt3 random(3) k4 recursion-size": ("tt3", lambda: build_host("random", 3, 0), 4, "1/12"),
     "onesub random(40) k4": ("onesub", lambda: build_host("random", 40, 0), 4, "1/12"),
     "onesub random(170) k3": ("onesub", lambda: build_host("random", 170, 2), 3, "1/12"),
     "onesub rotational aux-graph-precondition": (
@@ -156,6 +165,8 @@ GOLDEN = {
     "tt3 stacked_triangles(170) k4":
         "c3f362d3e472cd032e6f819fd8f8e1c811b21141d0d2cd80854c4fef9b33cc66",
     "tt3 transitive(40) k12": "390118204bd321a0624fcc54d227dfaa0e7ea0b370c1128e3fd4e69c92f8b4ec",
+    "tt3 random(3) k4 recursion-size":
+        "50babf1a75347ccdfb827cac07186bd8faf99af7ddc1115109983f07b764c462",
 }
 
 
@@ -173,7 +184,8 @@ def test_golden_corpus_reaches_every_reachable_stage():
             stages.add((finder, outcome.stage))
     for stage in ("derive-cut", "balanced-set", "cut-chain-embedding"):
         assert ("complete", stage) in stages
-    assert {("tt3", "nearly-regular"), ("onesub", "aux-graph-precondition"),
+    assert {("tt3", "nearly-regular"), ("tt3", "recursion-size"),
+            ("onesub", "aux-graph-precondition"),
             ("onesub", "cross-pair-exhaustion"), ("onesub", "base-transitive")} <= stages
 
 
