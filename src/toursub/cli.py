@@ -60,6 +60,10 @@ def _range(text: str):
 
 
 def _write_witness(path, host, sub) -> None:
+    """Write the witness JSON to ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(dump_witness(host, sub))
+        return
     with open(path, "w") as fh:
         fh.write(dump_witness(host, sub))
 
@@ -120,10 +124,7 @@ def cmd_find(args) -> int:
         print(f"internal error: finder produced an invalid witness: {report.violations[:5]}",
               file=sys.stderr)
         return EXIT_ERROR
-    if args.out:
-        _write_witness(args.out, host, outcome)
-    else:
-        sys.stdout.write(dump_witness(host, outcome))
+    _write_witness(args.out, host, outcome)
     return EXIT_OK
 
 
@@ -139,10 +140,7 @@ def cmd_oracle(args) -> int:
     outcome = oracle_subdivision(host, query)
     print(json.dumps({"status": outcome.status, "nodes": outcome.nodes}, indent=2))
     if outcome.status == "found":
-        if args.out:
-            _write_witness(args.out, host, outcome.subdivision)
-        else:
-            sys.stdout.write(dump_witness(host, outcome.subdivision))
+        _write_witness(args.out, host, outcome.subdivision)
         return EXIT_OK
     if outcome.status == "not_found":
         return EXIT_NEGATIVE

@@ -208,9 +208,9 @@ def _needed_pairs(
 def greedy_partial_subdivision(
     t: Tournament,
     balanced: BalancedSet,
-    forbidden,
     params: FinderParams,
     pairs: Optional[List[Tuple[int, int]]] = None,
+    universe: Optional[int] = None,
 ) -> Tuple[GreedyPartial, Optional[Cut]]:
     """Embed needed pairs one at a time as 2-paths (preferred) or 3-paths.
 
@@ -221,15 +221,13 @@ def greedy_partial_subdivision(
 
     Returns (state, cut): ``cut`` is None when every pair embedded or the
     partial is large enough, else the stuck pair's validated cut.
-    ``forbidden`` is a vertex bitmask or any iterable of vertices; ``pairs``
+    Paths stay inside ``universe`` (default: the whole host); ``pairs``
     defaults to the pairs the complete pattern needs on the branch set.
     """
-    if not isinstance(forbidden, int):
-        forbidden = mask_of(forbidden)
-    universe = t.full_mask & ~forbidden
+    universe = t.full_mask if universe is None else universe
     branch = tuple(sorted(balanced.vertices))
-    if mask_of(branch) & forbidden:
-        raise ValueError("branch vertices must avoid the forbidden set")
+    if mask_of(branch) & ~universe:
+        raise ValueError("branch vertices must lie inside the universe")
     if pairs is None:
         pairs = _needed_pairs(t, pattern_complete_digraph(len(branch)), branch)
     todo = sorted(pairs)
@@ -277,19 +275,16 @@ def derive_cut(t: Tournament, state: GreedyPartial, failed: Tuple[int, int]) -> 
     for s in bits_of(s_mask):
         if sink_mask & ~t.out_mask(s):
             raise RuntimeError(f"edge into source vertex {s} from the sink side")
-    return Cut(
-        cut=frozenset(bits_of(u_mask)),
-        source=frozenset(bits_of(s_mask)),
-        sink=frozenset(bits_of(sink_mask)),
-    )
+    return Cut(cut=u_mask, source=s_mask, sink=sink_mask)
 
 
 def validate_cut(cut: Cut, k: int) -> None:
     """Size requirements from the dichotomy: |S| >= |U| + k and sink >= k."""
-    if len(cut.source) < len(cut.cut) + k:
-        raise CutInvalid("source smaller than cut + k", len(cut.source), len(cut.cut), len(cut.sink))
-    if len(cut.sink) < k:
-        raise CutInvalid("sink smaller than k", len(cut.source), len(cut.cut), len(cut.sink))
+    ns, nu, nw = cut.source.bit_count(), cut.cut.bit_count(), cut.sink.bit_count()
+    if ns < nu + k:
+        raise CutInvalid("source smaller than cut + k", ns, nu, nw)
+    if nw < k:
+        raise CutInvalid("sink smaller than k", ns, nu, nw)
 
 
 def _split_half_matching(hm: HalfMatching) -> Tuple[dict, dict]:
@@ -320,45 +315,31 @@ def minimize_cut(t: Tournament, cut: Cut) -> Cut:
     working universe adds the peeled vertices to U and leaves the sink as it
     was, and the repair only grows the sink.
     """
-    u_set = set(cut.cut)
-    s_set = set(cut.source)
-    steps = 0
-    bound = len(u_set) + len(s_set) + 1
-    while True:
-        steps += 1
-        if steps > bound:
-            raise RuntimeError("cut repair exceeded its potential bound")
-        s_mask = mask_of(s_set)
-        adj = {u: list(bits_of(t.out_mask(u) & s_mask)) for u in sorted(u_set)}
-        res = half_matching(sorted(u_set), sorted(s_set), adj)
+    u, s = cut.cut, cut.source
+    for _ in range(u.bit_count() + s.bit_count() + 1):
+        left = list(bits_of(u))
+        adj = {v: list(bits_of(t.out_mask(v) & s)) for v in left}
+        res = half_matching(left, list(bits_of(s)), adj)
         if isinstance(res, HalfMatching):
-            universe = mask_of(cut.cut) | mask_of(cut.source) | mask_of(cut.sink)
-            rest = universe & ~mask_of(u_set) & ~s_mask
-            for s in s_set:
-                if rest & ~t.out_mask(s):
-                    raise RuntimeError(
-                        f"repair broke the source orientation at vertex {s}"
-                    )
+            rest = (cut.cut | cut.source | cut.sink) & ~u & ~s
+            for v in bits_of(s):
+                if rest & ~t.out_mask(v):
+                    raise RuntimeError(f"repair broke the source orientation at vertex {v}")
             m1, m2 = _split_half_matching(res)
-            return Cut(
-                cut=frozenset(u_set),
-                source=frozenset(s_set),
-                sink=frozenset(bits_of(rest)),
-                m_prime=m1,
-                m_dprime=m2,
-            )
+            return Cut(cut=u, source=s, sink=rest, m_prime=m1, m_dprime=m2)
         assert isinstance(res, HallViolator)
-        x_set = set(res.vertices)
-        nx = set()
-        for u in x_set:
-            nx.update(bits_of(t.out_mask(u) & s_mask))
-        new_u = (u_set - x_set) | nx
-        if len(new_u) >= len(u_set):
+        x = nx = 0
+        for v in res.vertices:
+            x |= 1 << v
+            nx |= t.out_mask(v) & s
+        new_u = (u & ~x) | nx
+        if new_u.bit_count() >= u.bit_count():
             raise RuntimeError("violator replacement failed to shrink the cut")
-        u_set = new_u
-        s_set -= nx
-        if len(s_set) < len(u_set):
+        u = new_u
+        s &= ~nx
+        if s.bit_count() < u.bit_count():
             raise RuntimeError("repair broke the |S| >= |U| invariant")
+    raise RuntimeError("cut repair exceeded its potential bound")
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +391,7 @@ def embed_via_cut_chain(
     m1: Dict[int, int] = {}
     m2: Dict[int, int] = {}
     for st in chain:
-        u_all |= mask_of(st.cut)
+        u_all |= st.cut
         u1_mask |= mask_of(st.m_prime)
         u2_mask |= mask_of(st.m_dprime)
         m1.update(st.m_prime)
@@ -431,30 +412,21 @@ def embed_via_cut_chain(
     witnesses: Dict[int, PathWitness] = {}
     taken = 0
     s_used = set()
-    for j in first:
-        x, y = pairs[j]
-        cands = nbr[x] & u1_mask & ~taken
-        if not cands:
-            raise RuntimeError("distinct-representative pick ran dry on the first half")
-        u = (cands & -cands).bit_length() - 1
-        taken |= 1 << u
-        s = m1[u]
-        s_used.add(s)
-        witnesses[j] = PathWitness(x, y, (u, s))
-
-    blocked = mask_of(u for u, s in m2.items() if s in s_used)
-    for j in second:
-        x, y = pairs[j]
-        cands = nbr[x] & u2_mask & ~taken & ~blocked
-        if not cands:
-            raise RuntimeError("distinct-representative pick ran dry on the second half")
-        u = (cands & -cands).bit_length() - 1
-        taken |= 1 << u
-        s = m2[u]
-        if s in s_used:
-            raise RuntimeError("source vertex reused across matching halves")
-        s_used.add(s)
-        witnesses[j] = PathWitness(x, y, (u, s))
+    for name, half, u_mask, m in (("first", first, u1_mask, m1), ("second", second, u2_mask, m2)):
+        # Partners of sources the first half already took (none at its start).
+        blocked = mask_of(u for u, s in m.items() if s in s_used)
+        for j in half:
+            x, y = pairs[j]
+            cands = nbr[x] & u_mask & ~taken & ~blocked
+            if not cands:
+                raise RuntimeError(f"distinct-representative pick ran dry on the {name} half")
+            u = (cands & -cands).bit_length() - 1
+            taken |= 1 << u
+            s = m[u]
+            if s in s_used:
+                raise RuntimeError("source vertex reused across matching halves")
+            s_used.add(s)
+            witnesses[j] = PathWitness(x, y, (u, s))
     return [witnesses[j] for j in range(ell)]
 
 
@@ -531,18 +503,16 @@ def _embed_pattern(
 
         balanced = find_balanced_set(t, params, kept)
         state, cut = greedy_partial_subdivision(
-            t, balanced, forbidden=t.full_mask & ~kept, params=params,
-            pairs=_needed_pairs(t, pattern, balanced.vertices),
-        )
+            t, balanced, params, _needed_pairs(t, pattern, balanced.vertices), universe=kept)
         if cut is None:
             branch, path_map = state.branch, state.paths
             break
 
         # Lift the cut from the peeled subtournament back to the full working
         # universe: peeled leftovers join the cut side.
-        certified = minimize_cut(t, replace(cut, cut=cut.cut | frozenset(peeled)))
+        certified = minimize_cut(t, replace(cut, cut=cut.cut | mask_of(peeled)))
         chain.append(certified)
-        next_universe = universe & ~mask_of(certified.cut) & ~mask_of(certified.source)
+        next_universe = universe & ~certified.cut & ~certified.source
         if next_universe.bit_count() >= universe.bit_count():
             raise RuntimeError("cut stage failed to shrink the working tournament")
         universe = next_universe

@@ -8,7 +8,8 @@ integer bit arithmetic.
 
 A subtournament is a universe mask over its host; the finders restrict rows
 with ``& universe`` and report host vertices.  ``induced`` builds a
-standalone, renumbered copy.
+standalone, renumbered copy.  A ``Cut`` holds its three vertex sets as host
+bitmasks too.
 
 One bit transpose, ``_transpose``, gives a host's columns (its in-rows) to
 random generation and to the parser's orientation check.
@@ -243,16 +244,17 @@ def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
 @dataclass(frozen=True)
 class Cut:
     """A disconnecting set U (``cut``) with the source S and sink it
-    separates: no edge runs from the sink into S.
+    separates: no edge runs from the sink into S.  All three are host
+    bitmasks.
 
     A certified cut also carries two one-to-one matchings from disjoint
     halves of U into S (a split half-matching), which prove that U expands
     into S; they stay empty until ``minimize_cut`` certifies the cut.
     """
 
-    cut: frozenset
-    source: frozenset
-    sink: frozenset
+    cut: int
+    source: int
+    sink: int
     m_prime: dict = field(default_factory=dict)
     m_dprime: dict = field(default_factory=dict)
 

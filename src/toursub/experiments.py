@@ -175,7 +175,7 @@ def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
             outcome, chain = find_complete_subdivision_ex(host, k, params)
             chains = [(index, c) for c in chain]
             row["chain_stages"] = len(chain)
-            row["max_cut"] = max((len(c.cut) for c in chain), default=0)
+            row["max_cut"] = max((c.cut.bit_count() for c in chain), default=0)
         elif finder == "tt3":
             outcome = find_tt_len3(host, k, params)
         else:

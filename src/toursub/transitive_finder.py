@@ -156,12 +156,12 @@ def find_tt_len3(
             f"{t.n} vertices is below the required {float(params.tt3_min_size):.0f}"
         )
     try:
-        return _tt3_recurse(t, t.full_mask, k, params)
+        return _tt3_recurse(t, t.full_mask, k)
     except StageFailure as exc:
         return FailureTrace.from_error(exc)
 
 
-def _tt3_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Subdivision:
+def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
     pattern = pattern_transitive(k)
     n = uni.bit_count()
     if n < k:
@@ -189,14 +189,13 @@ def _tt3_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Subdi
             x, y = sigma[i], sigma[j]
             internals = () if t.has_edge(x, y) else _try_short_path(t, x, y, uni & ~used)
             if internals is None:
-                return _tt3_split(t, uni, k, params, x, y, used)
+                return _tt3_split(t, uni, k, x, y, used)
             used |= mask_of(internals)
             paths[(i, j)] = PathWitness(x, y, internals)
     return Subdivision(pattern, tuple(sigma), paths)
 
 
-def _tt3_split(t: Tournament, uni: int, k: int, params: FinderParams,
-               x: int, y: int, used: int) -> Subdivision:
+def _tt3_split(t: Tournament, uni: int, k: int, x: int, y: int, used: int) -> Subdivision:
     """Stuck-pair split: among still-available vertices the common
     in-neighbourhood B of (x, y) sends every edge to the common
     out-neighbourhood A, so a transitive subdivision in B followed by one in
@@ -220,8 +219,8 @@ def _tt3_split(t: Tournament, uni: int, k: int, params: FinderParams,
     if b_size < kb or a_size < ka or kb < 1 or ka < 1:
         raise TooSmall("stuck-pair split leaves a side too small", stage="recursion-size",
                        A=a_size, B=b_size, need_A=ka, need_B=kb)
-    first = _tt3_recurse(t, b_mask, kb, params)
-    second = _tt3_recurse(t, a_mask, ka, params)
+    first = _tt3_recurse(t, b_mask, kb)
+    second = _tt3_recurse(t, a_mask, ka)
     return _join(first, second, lambda u, v, hx, hy: ())
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import assert_certified_cut
 
 from toursub.complete_finder import (
     BalancedSet,
@@ -35,7 +36,6 @@ from toursub.errors import (
     InsufficientOutNeighbours,
     TooSmall,
 )
-from toursub.matching import hall_half_condition
 from toursub.params import FinderParams
 from toursub.subdivision import PatternDigraph, pattern_complete_digraph, verify
 
@@ -85,7 +85,7 @@ def test_balanced_set_invariants_on_random_host():
 def test_greedy_completes_on_cyclic_triangle():
     t = Tournament([0b010, 0b100, 0b001])
     state, cut = greedy_partial_subdivision(
-        t, free_balanced((0, 1)), 0, FinderParams(2, Fraction(1)))
+        t, free_balanced((0, 1)), FinderParams(2, Fraction(1)))
     assert cut is None
     assert state.paths == {(1, 0): (2,)}
     assert state.l1 == 1 and state.swaps == 0
@@ -98,7 +98,7 @@ ONE_SWAP_HOST = Tournament([46, 44, 152, 240, 227, 196, 135, 3])
 
 def test_one_swap_exchange():
     state, cut = greedy_partial_subdivision(
-        ONE_SWAP_HOST, free_balanced((0, 1, 2)), 0, FinderParams(3, Fraction(1))
+        ONE_SWAP_HOST, free_balanced((0, 1, 2)), FinderParams(3, Fraction(1))
     )
     assert cut is None
     assert state.swaps == 1
@@ -119,7 +119,7 @@ def test_two_swap_chain_host():
     # resolved by one exchange, and the greedy still completes.
     t = random_tournament(11, 122716)
     state, cut = greedy_partial_subdivision(
-        t, free_balanced((0, 2, 5, 6)), 0, FinderParams(4, Fraction(1))
+        t, free_balanced((0, 2, 5, 6)), FinderParams(4, Fraction(1))
     )
     assert cut is None
     assert state.swaps == 2
@@ -138,10 +138,38 @@ def test_swap_counter_bounded_by_pairs():
     for seed in range(30):
         t = random_tournament(12, seed)
         state, cut = greedy_partial_subdivision(
-            t, free_balanced((0, 1, 2)), 0, FinderParams(3, Fraction(1))
+            t, free_balanced((0, 1, 2)), FinderParams(3, Fraction(1))
         )
         if cut is None:
             assert state.swaps <= 3 + 1
+
+
+def test_greedy_keeps_internals_inside_its_universe():
+    # Take away the internals an unrestricted run used: the restricted run
+    # must route every path through what is left.
+    params = FinderParams(3, Fraction(1))
+    restricted_runs = 0
+    for seed in range(20):
+        t = random_tournament(20, seed)
+        bal = free_balanced((0, 1, 2))
+        full, _ = greedy_partial_subdivision(t, bal, params)
+        taken = mask_of(v for internals in full.paths.values() for v in internals)
+        if not taken:
+            continue
+        universe = t.full_mask & ~taken
+        state, _ = greedy_partial_subdivision(t, bal, params, universe=universe)
+        assert state.universe == universe
+        for internals in state.paths.values():
+            assert not mask_of(internals) & ~universe
+        restricted_runs += bool(state.paths)
+    assert restricted_runs
+
+
+def test_greedy_rejects_a_branch_vertex_outside_its_universe():
+    t = random_tournament(12, 0)
+    with pytest.raises(ValueError):
+        greedy_partial_subdivision(t, free_balanced((0, 1, 2)), FinderParams(3, Fraction(1)),
+                                   universe=t.full_mask & ~(1 << 2))
 
 
 # --- cut derivation -------------------------------------------------------------
@@ -154,8 +182,8 @@ def test_derive_cut_on_transitive_host():
     t = transitive_tournament(10)
     state = GreedyPartial(universe=t.full_mask, branch=(0, 9))
     cut = derive_cut(t, state, (9, 0))
-    assert cut.cut == frozenset(range(10))
-    assert cut.source == frozenset() and cut.sink == frozenset()
+    assert cut.cut == mask_of(range(10))
+    assert cut.source == 0 and cut.sink == 0
     with pytest.raises(CutInvalid):
         validate_cut(cut, 2)
 
@@ -163,7 +191,7 @@ def test_derive_cut_on_transitive_host():
 def test_greedy_propagates_cut_invalid():
     t = transitive_tournament(10)
     with pytest.raises(CutInvalid):
-        greedy_partial_subdivision(t, free_balanced((0, 9)), 0, FinderParams(2, Fraction(1, 2)))
+        greedy_partial_subdivision(t, free_balanced((0, 9)), FinderParams(2, Fraction(1, 2)))
 
 
 def _cut_outcomes(count=5):
@@ -176,7 +204,7 @@ def _cut_outcomes(count=5):
         t = stacked_triangles(70, 0.05, 2, seed)
         bal = find_balanced_set(t, params)
         try:
-            _, cut = greedy_partial_subdivision(t, bal, 0, params)
+            _, cut = greedy_partial_subdivision(t, bal, params)
         except (CutInvalid, RuntimeError):
             continue
         if cut is not None:
@@ -191,8 +219,8 @@ def test_cut_outcome_orientation_checked_exhaustively():
     outcomes = _cut_outcomes(3)
     assert outcomes
     for t, cut in outcomes:
-        for s in cut.source:
-            for w in cut.sink:
+        for s in bits_of(cut.source):
+            for w in bits_of(cut.sink):
                 assert t.has_edge(s, w)
 
 
@@ -205,18 +233,18 @@ MINCUT_HOST = Tournament([10, 12, 9, 48, 39, 7])
 def test_minimize_cut_violator_replacement():
     # U = {0,1,2} reaches only {3} inside S = {3,4}: the violator replacement
     # swaps U for {3}, and the certificate then matches 3 -> 4.
-    cut = Cut(cut=frozenset({0, 1, 2}), source=frozenset({3, 4}), sink=frozenset({5}))
+    cut = Cut(cut=mask_of({0, 1, 2}), source=mask_of({3, 4}), sink=mask_of({5}))
     cert = minimize_cut(MINCUT_HOST, cut)
-    assert cert.cut == {3}
-    assert cert.source == {4}
+    assert cert.cut == mask_of({3})
+    assert cert.source == mask_of({4})
     assert cert.m_prime == {3: 4} and cert.m_dprime == {}
 
 
 def test_minimize_cut_fixpoint_when_expanding():
     t = transitive_tournament(4)  # 0 -> everything
-    cut = Cut(cut=frozenset({1}), source=frozenset({2}), sink=frozenset({3}))
+    cut = Cut(cut=mask_of({1}), source=mask_of({2}), sink=mask_of({3}))
     cert = minimize_cut(t, cut)
-    assert cert.cut == {1} and cert.source == {2}
+    assert cert.cut == mask_of({1}) and cert.source == mask_of({2})
     assert cert.m_prime == {1: 2}
 
 
@@ -224,19 +252,18 @@ def test_minimize_cut_certificate_is_sound():
     outcomes = _cut_outcomes(5)
     assert outcomes
     for t, cut in outcomes:
+        assert_certified_cut(t, minimize_cut(t, cut))
+
+
+def test_minimize_cut_repartitions_the_input_cut():
+    # The driver shrinks its universe by the repaired cut and source, so the
+    # repair must split exactly the input's vertices into three disjoint sets.
+    outcomes = _cut_outcomes(5)
+    assert outcomes
+    for t, cut in outcomes:
         cert = minimize_cut(t, cut)
-        # split halves are disjoint, cover the cut, and carry 1-1 matchings
-        assert frozenset(cert.m_prime) | frozenset(cert.m_dprime) == cert.cut
-        assert frozenset(cert.m_prime).isdisjoint(cert.m_dprime)
-        for m in (cert.m_prime, cert.m_dprime):
-            assert len(set(m.values())) == len(m)
-            for u, s in m.items():
-                assert t.has_edge(u, s) and s in cert.source
-        if len(cert.cut) <= 12:
-            assert hall_half_condition(
-                sorted(cert.cut),
-                {u: bits_of(t.out_mask(u) & mask_of(cert.source)) for u in cert.cut},
-            )
+        assert not (cert.cut & cert.source or cert.cut & cert.sink or cert.source & cert.sink)
+        assert cert.cut | cert.source | cert.sink == cut.cut | cut.source | cut.sink
 
 
 # --- peeling --------------------------------------------------------------------
@@ -312,7 +339,7 @@ def _two_pair_host():
 
 
 def test_embed_single_pair():
-    chain = (Cut(cut=frozenset({2, 4}), source=frozenset({3}), sink=frozenset({0, 1}),
+    chain = (Cut(cut=mask_of({2, 4}), source=mask_of({3}), sink=mask_of({0, 1}),
                  m_prime={2: 3}, m_dprime={4: 3}),)
     wits = embed_via_cut_chain(EMBED_ONE, [0, 1], [(0, 1)], chain)
     assert [(w.from_v, w.internals, w.to_v) for w in wits] == [(0, (2, 3), 1)]
@@ -320,8 +347,8 @@ def test_embed_single_pair():
 
 def test_embed_two_pairs_sharing_source():
     t = _two_pair_host()
-    chain = (Cut(cut=frozenset({3, 4, 5, 6}), source=frozenset({7, 8}),
-                 sink=frozenset({0, 1, 2}), m_prime={3: 7, 5: 8}, m_dprime={4: 7, 6: 8}),)
+    chain = (Cut(cut=mask_of({3, 4, 5, 6}), source=mask_of({7, 8}),
+                 sink=mask_of({0, 1, 2}), m_prime={3: 7, 5: 8}, m_dprime={4: 7, 6: 8}),)
     wits = embed_via_cut_chain(t, [0, 1, 2], [(0, 1), (0, 2)], chain)
     assert [(w.from_v, w.internals, w.to_v) for w in wits] == [
         (0, (3, 7), 1),
@@ -339,7 +366,7 @@ def test_embed_two_pairs_sharing_source():
 
 
 def test_embed_insufficient_out_neighbours():
-    chain = (Cut(cut=frozenset({2}), source=frozenset({3}), sink=frozenset({0, 1}),
+    chain = (Cut(cut=mask_of({2}), source=mask_of({3}), sink=mask_of({0, 1}),
                  m_prime={2: 3}),)
     with pytest.raises(InsufficientOutNeighbours) as info:
         embed_via_cut_chain(EMBED_ONE, [0, 1], [(0, 1)], chain)
@@ -401,14 +428,8 @@ def test_chain_stages_are_certified_on_structured_hosts():
         t = stacked_triangles(60, 0.05, 2, seed)
         out, chain = find_complete_subdivision_ex(t, 3, params)
         for st in chain:
-            assert frozenset(st.m_prime) | frozenset(st.m_dprime) == st.cut
-            if st.cut:
-                saw_nonempty = True
-                if len(st.cut) <= 12:
-                    assert hall_half_condition(
-                        sorted(st.cut),
-                        {u: bits_of(t.out_mask(u) & mask_of(st.source)) for u in st.cut},
-                    )
+            assert_certified_cut(t, st)
+            saw_nonempty |= bool(st.cut)
         if not isinstance(out, FailureTrace):
             assert verify(t, out, max_len=3).valid
     assert saw_nonempty
@@ -423,13 +444,9 @@ def test_failed_scaled_run_returns_its_certified_cuts():
     t = build_host("triangles_sparse", 240, instance_seed(22, 25))
     out, chain = find_complete_subdivision_ex(t, 3, FinderParams(3, Fraction(1, 96)))
     assert isinstance(out, FailureTrace) and out.stage == "derive-cut"
-    assert [len(c.cut) for c in chain] == [0, 1, 1, 3, 1, 0, 0]
+    assert [c.cut.bit_count() for c in chain] == [0, 1, 1, 3, 1, 0, 0]
     for st in chain:
-        assert frozenset(st.m_prime) | frozenset(st.m_dprime) == st.cut
-        assert hall_half_condition(
-            sorted(st.cut),
-            {u: bits_of(t.out_mask(u) & mask_of(st.source)) for u in st.cut},
-        )
+        assert_certified_cut(t, st)
 
 
 def test_failure_trace_only_on_scaled_runs():

@@ -30,7 +30,7 @@ import pytest
 from toursub import experiments
 from toursub.cli import main
 from toursub.complete_finder import find_complete_subdivision_ex, find_digraph_subdivision_ex
-from toursub.core import blowup_cyclic_triangle, rotational_tournament, transitive_tournament
+from toursub.core import bits_of, blowup_cyclic_triangle, rotational_tournament, transitive_tournament
 from toursub.errors import FailureTrace
 from toursub.experiments import build_host, stacked_clusters, stacked_triangles
 from toursub.params import FinderParams
@@ -43,7 +43,7 @@ def _sha(text):
 
 
 def _cut_tuple(cut):
-    return [sorted(cut.cut), sorted(cut.source), sorted(cut.m_prime.items()),
+    return [list(bits_of(cut.cut)), list(bits_of(cut.source)), sorted(cut.m_prime.items()),
             sorted(cut.m_dprime.items())]
 
 
