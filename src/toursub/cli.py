@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -59,22 +60,20 @@ def _range(text: str):
     return [int(text)]
 
 
-def _write_witness(path, host, sub) -> None:
-    """Write the witness JSON to ``path``, or to stdout when no path is given."""
+@contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout when no path is given."""
     if not path:
-        sys.stdout.write(dump_witness(host, sub))
+        yield sys.stdout
         return
     with open(path, "w") as fh:
-        fh.write(dump_witness(host, sub))
+        yield fh
 
 
 def cmd_gen(args) -> int:
     t = generate(args.kind, args.n, args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_tournament(t, fh)
-    else:
-        write_tournament(t, sys.stdout)
+    with _output(args.out) as fh:
+        write_tournament(t, fh)
     return EXIT_OK
 
 
@@ -124,7 +123,8 @@ def cmd_find(args) -> int:
         print(f"internal error: finder produced an invalid witness: {report.violations[:5]}",
               file=sys.stderr)
         return EXIT_ERROR
-    _write_witness(args.out, host, outcome)
+    with _output(args.out) as fh:
+        fh.write(dump_witness(host, outcome))
     return EXIT_OK
 
 
@@ -140,7 +140,8 @@ def cmd_oracle(args) -> int:
     outcome = oracle_subdivision(host, query)
     print(json.dumps({"status": outcome.status, "nodes": outcome.nodes}, indent=2))
     if outcome.status == "found":
-        _write_witness(args.out, host, outcome.subdivision)
+        with _output(args.out) as fh:
+            fh.write(dump_witness(host, outcome.subdivision))
         return EXIT_OK
     if outcome.status == "not_found":
         return EXIT_NEGATIVE

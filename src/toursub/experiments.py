@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
@@ -230,11 +231,13 @@ def sweep(
 
 
 def _run_jobs(fn, jobs, workers: int):
+    # A forking pool starts every worker at its first submit, so it gets no
+    # more workers than there are jobs or cores.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, jobs))
-    return results  # pool.map preserves job order, so rows stay index-sorted
+        return list(pool.map(fn, jobs))  # map keeps job order, so rows stay index-sorted
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +253,12 @@ def csv_body(rows: List[dict], columns: Sequence[str]) -> str:
     return buf.getvalue()
 
 
-def rows_to_csv(
-    schema: str,
-    config: Dict,
-    rows: List[dict],
-    columns: Sequence[str],
-    timestamp: bool = True,
-) -> str:
-    header = [f"# schema: {schema}"]
-    header.append("# config: " + json.dumps(config, sort_keys=True, default=str))
-    if timestamp:
-        header.append("# generated: " + datetime.now(timezone.utc).isoformat())
+def rows_to_csv(schema: str, config: Dict, rows: List[dict], columns: Sequence[str]) -> str:
+    header = [
+        f"# schema: {schema}",
+        "# config: " + json.dumps(config, sort_keys=True, default=str),
+        "# generated: " + datetime.now(timezone.utc).isoformat(),
+    ]
     return "\n".join(header) + "\n" + csv_body(rows, columns)
 
 

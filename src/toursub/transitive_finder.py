@@ -11,8 +11,11 @@ exact 2-paths.
 
 Both recurse on universe masks (``universe``, ``uni``) of the host they were
 given, with degrees counted inside the mask, so every vertex a stage returns
-is a host vertex.  ``bits_of(uni)`` is ascending, so lowest-index tie-breaks
-pick what they would on ``induced(t, bits_of(uni))``.
+is a host vertex and every vertex set it hands on is a host bitmask.
+``bits_of(uni)`` is ascending, so lowest-index tie-breaks pick what they
+would on ``induced(t, bits_of(uni))``.  Only the aux graph and the ball
+separator keep local 0..n-1 ids and sets: a host-wide mask per component
+of their 10^5-vertex graphs would be built bit by bit.
 
 Failures: every stage raises a ``StageFailure``, and ``find_tt_len3`` and
 ``find_one_subdivision`` each turn it into the run's ``FailureTrace`` once.
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Tournament, _try_short_path, bits_of, first_window, mask_of
@@ -180,9 +185,8 @@ def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
 
     # Branch order: non-increasing out-degree inside the branch set, so
     # forward host edges double as length-1 paths wherever possible.
-    bmask = mask_of(near.vertices)
-    sigma = sorted(near.vertices, key=lambda v: (-(t.out_mask(v) & bmask).bit_count(), v))
-    used = mask_of(sigma)
+    used = mask_of(near.vertices)
+    sigma = sorted(near.vertices, key=lambda v: (-(t.out_mask(v) & used).bit_count(), v))
     paths: Dict[Tuple[int, int], PathWitness] = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -392,88 +396,72 @@ def ball_decomposition(g: Graph) -> BallDecomposition:
 
 @dataclass(frozen=True)
 class ComponentPartition:
+    """Host bitmasks throughout: A1 is the top half of ``order`` (the
+    component vertices by out-degree, highest first), A2 the rest; the X and
+    Y families keep their components in input order, and each cap is the
+    family's union met with A1 (X) or A2 (Y)."""
+
     order: Tuple[int, ...]
-    a1: frozenset
-    a2: frozenset
-    x_family: Tuple[frozenset, ...]
-    y_family: Tuple[frozenset, ...]
-    x_cap_a1: frozenset
-    y_cap_a2: frozenset
+    a1: int
+    a2: int
+    x_family: Tuple[int, ...]
+    y_family: Tuple[int, ...]
+    x_cap_a1: int
+    y_cap_a2: int
     m: int
     lower_bound: float
 
 
 def partition_components(
     t: Tournament,
-    components: Sequence[Sequence[int]],
+    components: Sequence[int],
     universe: Optional[int] = None,
 ) -> ComponentPartition:
-    """Split the components (vertex sets of the subtournament on
+    """Split the components (disjoint vertex masks of the subtournament on
     ``universe``, default all of ``t``) into two families, one capturing many
     vertices of the top half of the out-degree order, the other many of the
     bottom half; both intersections reach (1 - 1/(2 ln n)) m / 4."""
     uni = t.full_mask if universe is None else universe
-    n = uni.bit_count()
-    comp_list = [sorted(c) for c in components]
-    members = sorted(v for c in comp_list for v in c)
-    m = len(members)
+    members = reduce(or_, components, 0)
+    m = members.bit_count()
     if m == 0:
         raise ValueError("no component vertices to partition")
-    sigma = sorted(members, key=lambda v: (-(t.out_mask(v) & uni).bit_count(), v))
-    half = len(sigma) // 2
-    a1 = frozenset(sigma[:half])
-    a2 = frozenset(sigma[half:])
-    lower = (1.0 - 1.0 / (2.0 * math.log(max(n, 3)))) * m / 4.0
+    sigma = sorted(bits_of(members), key=lambda v: (-(t.out_mask(v) & uni).bit_count(), v))
+    a1 = mask_of(sigma[:m // 2])
+    a2 = members & ~a1
+    lower = (1.0 - 1.0 / (2.0 * math.log(max(uni.bit_count(), 3)))) * m / 4.0
 
-    c1 = [len(a1.intersection(c)) for c in comp_list]
-    c2 = [len(c) - c1[i] for i, c in enumerate(comp_list)]
-    fam1 = [i for i in range(len(comp_list)) if 2 * c1[i] >= len(comp_list[i])]
-    fam2 = [i for i in range(len(comp_list)) if 2 * c1[i] < len(comp_list[i])]
-
-    def finish(x_idx, y_idx):
-        x_family = tuple(frozenset(comp_list[i]) for i in sorted(x_idx))
-        y_family = tuple(frozenset(comp_list[i]) for i in sorted(y_idx))
-        x_cap = frozenset(v for f in x_family for v in f if v in a1)
-        y_cap = frozenset(v for f in y_family for v in f if v in a2)
-        return ComponentPartition(
-            order=tuple(sigma),
-            a1=a1,
-            a2=a2,
-            x_family=x_family,
-            y_family=y_family,
-            x_cap_a1=x_cap,
-            y_cap_a2=y_cap,
-            m=m,
-            lower_bound=lower,
-        )
-
-    mass1 = sum(c1[i] for i in fam1)
-    mass2 = sum(c2[i] for i in fam2)
+    c1 = [(c & a1).bit_count() for c in components]
+    c2 = [(c & a2).bit_count() for c in components]
+    fam1 = [i for i in range(len(components)) if c1[i] >= c2[i]]
+    fam2 = [i for i in range(len(components)) if c1[i] < c2[i]]
+    mass1, mass2 = sum(c1[i] for i in fam1), sum(c2[i] for i in fam2)
     quarter = m / 4.0
-    if mass1 >= quarter and mass2 >= quarter:
-        return finish(fam1, fam2)
-    if mass1 < quarter:
-        # Grow the X side with majority-A2 components while its A1 mass
-        # stays at most m/4; maximality gives the lower bound.
+
+    def grow(base, extra, weight):
+        """(base grown by ``extra``'s components while its weight stays at
+        most m/4, the rest); maximality gives the lower bound."""
+        mass = sum(weight[i] for i in base)
         chosen, rest = [], []
-        mass = mass1
-        for i in fam2:
-            if mass + c1[i] <= quarter:
+        for i in extra:
+            if mass + weight[i] <= quarter:
                 chosen.append(i)
-                mass += c1[i]
+                mass += weight[i]
             else:
                 rest.append(i)
-        return finish(fam1 + chosen, rest)
-    # Symmetric case: grow the Y side with majority-A1 components.
-    chosen, rest = [], []
-    mass = mass2
-    for i in fam1:
-        if mass + c2[i] <= quarter:
-            chosen.append(i)
-            mass += c2[i]
-        else:
-            rest.append(i)
-    return finish(rest, fam2 + chosen)
+        return sorted(base + chosen), rest
+
+    if mass1 >= quarter and mass2 >= quarter:
+        x_idx, y_idx = fam1, fam2
+    elif mass1 < quarter:
+        x_idx, y_idx = grow(fam1, fam2, c1)  # X grows with majority-A2 components
+    else:
+        y_idx, x_idx = grow(fam2, fam1, c2)  # Y grows with majority-A1 components
+    x_family = tuple(components[i] for i in x_idx)
+    y_family = tuple(components[i] for i in y_idx)
+    return ComponentPartition(tuple(sigma), a1, a2, x_family, y_family,
+                              reduce(or_, x_family, 0) & a1, reduce(or_, y_family, 0) & a2,
+                              m, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -550,28 +538,20 @@ def find_one_subdivision(
 def _onesub_base(t: Tournament, uni: int, k: int) -> Subdivision:
     """Place branch and internal vertices along a transitive chain.
 
-    A 1-subdivision of T_k needs k + k(k-1)/2 chain vertices; for k <= 3 the
-    layout below mirrors the classic 6-vertex arrangement.
+    A 1-subdivision of T_k needs k + k(k-1)/2 chain vertices.  In chain
+    order, branch vertex v - 1 is followed by the midpoints of the edges
+    (u, v), u < v, at v(v+1)/2 + u, and then by branch vertex v at v(v+3)/2;
+    every chain edge points forward, so each u -> mid -> v is a 2-path.
     """
     need = k + k * (k - 1) // 2
     chain = transitive_chain(t, uni)
     if len(chain) < need:
         raise TooSmall(f"transitive chain of {len(chain)} < {need} vertices",
                        stage="base-transitive", n=uni.bit_count(), k=k)
-    chain = chain[:need]
-    if k == 2:
-        branch = (chain[0], chain[2])
-        mids = {(0, 1): chain[1]}
-    elif k == 3:
-        branch = (chain[0], chain[2], chain[5])
-        mids = {(0, 1): chain[1], (0, 2): chain[3], (1, 2): chain[4]}
-    else:  # pragma: no cover - base case is only entered with k <= 3
-        raise ValueError("base placement is defined for k <= 3")
+    branch = tuple(chain[v * (v + 3) // 2] for v in range(k))
     pattern = pattern_transitive(k)
-    paths = {
-        (u, v): PathWitness(branch[u], branch[v], (mids[(u, v)],))
-        for u, v in pattern.edges
-    }
+    paths = {(u, v): PathWitness(branch[u], branch[v], (chain[v * (v + 1) // 2 + u],))
+             for u, v in pattern.edges}
     return Subdivision(pattern, branch, paths)
 
 
@@ -581,17 +561,17 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
 
     decomp = ball_decomposition(build_aux_graph(t, k, params, uni))
     verts = list(bits_of(uni))
-    comps = [[verts[v] for v in sorted(c)] for c in decomp.components]
+    comps = [mask_of(verts[v] for v in c) for c in decomp.components]
     part = partition_components(t, comps, uni)
 
     k_first = -(-k // 2)  # ceil(k/2): top half of the degree order
     k_second = k // 2
     left, right = part.x_cap_a1, part.y_cap_a2
-    if len(left) < k_first or len(right) < k_second:
+    if left.bit_count() < k_first or right.bit_count() < k_second:
         raise TooSmall("component split leaves a side too small", stage="recursion-size",
-                       left=len(left), right=len(right), k=k)
-    first = _onesub_recurse(t, mask_of(left), k_first, params.rescaled(k_first))
-    second = _onesub_recurse(t, mask_of(right), k_second, params.rescaled(k_second))
+                       left=left.bit_count(), right=right.bit_count(), k=k)
+    first = _onesub_recurse(t, left, k_first, params.rescaled(k_first))
+    second = _onesub_recurse(t, right, k_second, params.rescaled(k_second))
 
     # Join: every cross pair gets a fresh midpoint from the whole universe.
     used = 0

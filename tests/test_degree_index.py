@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from toursub import transitive_finder
 from toursub.complete_finder import BalancedSet, find_balanced_set
-from toursub.core import bits_of, first_window, rotational_tournament, transitive_tournament
+from toursub.core import (
+    bits_of,
+    first_window,
+    mask_of,
+    rotational_tournament,
+    transitive_tournament,
+)
 from toursub.errors import TooSmall
 from toursub.experiments import SWEEP_KINDS, build_host, sweep
 from toursub.params import FinderParams
@@ -360,13 +366,13 @@ def component_lists(draw, t):
 
 
 def assert_same_partition(t, components):
-    part = partition_components(t, components)
+    part = partition_components(t, [mask_of(c) for c in components])
     _, x_idx, y_idx = reference_partition(t, components)
     comp_list = [sorted(c) for c in components]
-    assert part.x_family == tuple(frozenset(comp_list[i]) for i in sorted(x_idx))
-    assert part.y_family == tuple(frozenset(comp_list[i]) for i in sorted(y_idx))
-    assert part.x_cap_a1 == frozenset(v for i in x_idx for v in comp_list[i] if v in part.a1)
-    assert part.y_cap_a2 == frozenset(v for i in y_idx for v in comp_list[i] if v in part.a2)
+    assert part.x_family == tuple(mask_of(comp_list[i]) for i in sorted(x_idx))
+    assert part.y_family == tuple(mask_of(comp_list[i]) for i in sorted(y_idx))
+    assert part.x_cap_a1 == mask_of(v for i in x_idx for v in comp_list[i] if part.a1 >> v & 1)
+    assert part.y_cap_a2 == mask_of(v for i in y_idx for v in comp_list[i] if part.a2 >> v & 1)
 
 
 @given(hosts(min_n=2, max_n=120).flatmap(lambda t: st.tuples(st.just(t), component_lists(t))))
@@ -388,6 +394,18 @@ def test_partition_reference_cases_cover_every_branch():
         assert_same_partition(t, comps)
 
 
+def test_partition_grows_a_side_up_to_exactly_m_over_4():
+    # m = 12, so a side may grow to an A1 (or A2) mass of exactly 3.
+    t = transitive_tournament(12)  # A1 = {0..5}
+    cases = {
+        "grow-x": ([[0, 1], [2, 6, 7], [3, 4, 5, 8, 9, 10, 11]], [0, 1], [2]),
+        "grow-y": ([[6, 7], [0, 1, 8], [2, 3, 4, 5, 9, 10, 11]], [2], [0, 1]),
+    }
+    for branch, (comps, x_idx, y_idx) in cases.items():
+        assert reference_partition(t, comps) == (branch, x_idx, y_idx)
+        assert_same_partition(t, comps)
+
+
 def test_partition_of_sweep_decompositions(monkeypatch):
     # The components the onesub sweep partitions (k=4 at scale 1/16, one
     # host of each kind where the ball separator succeeds).
@@ -395,7 +413,7 @@ def test_partition_of_sweep_decompositions(monkeypatch):
     original = transitive_finder.partition_components
 
     def spy(t, components, universe=None):
-        seen.append((t, [list(c) for c in components], universe))
+        seen.append((t, [list(bits_of(c)) for c in components], universe))
         return original(t, components, universe)
 
     monkeypatch.setattr(transitive_finder, "partition_components", spy)

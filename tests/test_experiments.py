@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +67,41 @@ def test_sweep_determinism_and_worker_independence():
     assert csv_body(rows1, COMPLETE_COLUMNS) == csv_body(rows3, COMPLETE_COLUMNS)
 
 
+def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
+    # A forking pool starts all its workers at once, so the sweep must never
+    # ask for more than it has jobs or cores.  The stand-in pool records the
+    # request and maps serially: no process is started.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(toursub.experiments, "ProcessPoolExecutor", SerialPool)
+    args = dict(k=3, trials=2, n=60, scale=Fraction(1, 12), seed=4)
+    serial, _, _ = sweep("tt3", **args)
+    rows, _, _ = sweep("tt3", **args, workers=5000)
+    assert rows == serial
+    assert all(w <= min(2, os.cpu_count() or 1) for w in requested)
+    monkeypatch.setattr(toursub.experiments.os, "cpu_count", lambda: 64)
+    rows, _, _ = sweep("tt3", **args, workers=5000)
+    assert rows == serial
+    assert requested[-1] == 2
+    pools = len(requested)
+    rows, _, _ = sweep("tt3", **dict(args, trials=1), workers=5000)
+    assert rows == serial[:1]
+    assert len(requested) == pools  # one job runs in this process, without a pool
+
+
 def test_sweep_tt3_and_onesub():
     rows, chains, bad = sweep("tt3", k=4, trials=6, n=170, scale=Fraction(1, 12), seed=2)
     assert bad == [] and chains == []
@@ -78,12 +114,13 @@ def test_sweep_tt3_and_onesub():
 
 def test_csv_header_and_body():
     rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-    text = rows_to_csv("demo-v1", {"k": 3}, rows, ["a", "b"], timestamp=False)
+    text = rows_to_csv("demo-v1", {"k": 3}, rows, ["a", "b"])
     lines = text.splitlines()
     assert lines[0] == "# schema: demo-v1"
     assert lines[1].startswith("# config: ")
-    assert lines[2] == "a,b"
-    assert lines[3] == "1,x"
+    assert lines[2].startswith("# generated: ")
+    assert lines[3] == "a,b"
+    assert lines[4] == "1,x"
     # body is stable
     assert csv_body(rows, ["a", "b"]) == csv_body(rows, ["a", "b"])
 

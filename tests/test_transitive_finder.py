@@ -5,15 +5,19 @@ import pytest
 
 from toursub.core import (
     Tournament,
+    bits_of,
+    mask_of,
     random_tournament,
     rotational_tournament,
     transitive_tournament,
 )
 from toursub.errors import BallTooLarge, FailureTrace, TooSmall
+from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.subdivision import verify
 from toursub.transitive_finder import (
     Graph,
+    _onesub_base,
     ball_decomposition,
     build_aux_graph,
     find_nearly_regular,
@@ -275,11 +279,11 @@ def test_ball_decomposition_components_are_exact():
 def test_partition_two_clean_components():
     t = transitive_tournament(20)
     # component A = top half of the degree order, B = bottom half
-    comps = [list(range(10)), list(range(10, 20))]
+    comps = [mask_of(range(10)), mask_of(range(10, 20))]
     part = partition_components(t, comps)
     assert part.x_cap_a1 and part.y_cap_a2
-    assert len(part.x_cap_a1) >= part.lower_bound
-    assert len(part.y_cap_a2) >= part.lower_bound
+    assert part.x_cap_a1.bit_count() >= part.lower_bound
+    assert part.y_cap_a2.bit_count() >= part.lower_bound
 
 
 def test_partition_bounds_under_random_stress():
@@ -300,11 +304,11 @@ def test_partition_bounds_under_random_stress():
             size = rng.randrange(1, max(2, int(bound)))
             comps.append(sorted(vertices[i : i + size]))
             i += size
-        part = partition_components(t, comps)
-        assert len(part.x_cap_a1) >= part.lower_bound
-        assert len(part.y_cap_a2) >= part.lower_bound
+        part = partition_components(t, [mask_of(c) for c in comps])
+        assert part.x_cap_a1.bit_count() >= part.lower_bound
+        assert part.y_cap_a2.bit_count() >= part.lower_bound
         # families partition the components
-        all_comps = sorted(tuple(sorted(f)) for f in part.x_family + part.y_family)
+        all_comps = sorted(tuple(bits_of(f)) for f in part.x_family + part.y_family)
         assert all_comps == sorted(map(tuple, map(sorted, comps)))
 
 
@@ -334,6 +338,30 @@ def test_onesub_base_case_layout():
     assert out.paths[(0, 2)].internals == (3,)
     assert out.paths[(1, 2)].internals == (4,)
     assert verify(t, out, max_len=2, exact_len=2).valid
+
+
+def test_onesub_base_layout_for_every_k():
+    # One chain layout for every k: on the transitive host it uses exactly
+    # k + k(k-1)/2 vertices; on seeded sweep hosts it succeeds whenever the
+    # chain is long enough and raises TooSmall otherwise.
+    for k in range(2, 9):
+        need = k + k * (k - 1) // 2
+        t = transitive_tournament(need)
+        assert verify(t, _onesub_base(t, t.full_mask, k), max_len=2, exact_len=2).valid
+        with pytest.raises(TooSmall):
+            _onesub_base(t, t.full_mask & ~1, k)
+        witnesses = 0
+        for kind in SWEEP_KINDS:
+            for seed in range(2):
+                t = build_host(kind, 120, seed)
+                if len(transitive_chain(t)) < need:
+                    with pytest.raises(TooSmall):
+                        _onesub_base(t, t.full_mask, k)
+                    continue
+                out = _onesub_base(t, t.full_mask, k)
+                assert verify(t, out, max_len=2, exact_len=2).valid
+                witnesses += 1
+        assert witnesses >= 10
 
 
 def test_onesub_k2_on_three_vertices():

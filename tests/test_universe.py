@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toursub.core import Tournament, bits_of, induced, transitive_tournament
+from toursub.core import Tournament, bits_of, induced, mask_of, transitive_tournament
 from toursub.errors import TooSmall
 from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
@@ -69,7 +69,7 @@ def lift_partition(part, verts):
         return part
 
     def lift(vs):
-        return frozenset(verts[v] for v in vs)
+        return mask_of(verts[v] for v in bits_of(vs))
 
     return replace(
         part,
@@ -125,8 +125,8 @@ def test_partition_on_a_universe(case, data):
     bounds = [0] + cuts + [len(members)]
     components = [members[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
     pos = {v: i for i, v in enumerate(verts)}
-    local = [[pos[v] for v in c] for c in components]
-    assert outcome(partition_components, t, components, uni) == \
+    local = [mask_of(pos[v] for v in c) for c in components]
+    assert outcome(partition_components, t, [mask_of(c) for c in components], uni) == \
         lift_partition(outcome(partition_components, sub, local), verts)
 
 
