@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Cut, Tournament, _try_short_path, bits_of, first_window, mask_of
+from .core import Cut, Tournament, _try_short_path, bits_of, first_window, mask_of, universe_degrees
 from .errors import (
     CutInvalid,
     FailureTrace,
@@ -96,21 +96,19 @@ def find_balanced_set(
     # An integer reaches a rational exactly when it reaches its ceiling.
     floor = math.ceil(params.deg_floor(alpha))
     width = params.window_width
-    degs = {}
-    for v in bits_of(uni):
-        d = size - 1 - (t.out_mask(v) & uni).bit_count()
-        if d >= floor:
-            degs[v] = d
-    if len(degs) < k:
-        raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor",
+    vertices, out_degrees = universe_degrees(t, uni)
+    in_degrees = [size - 1 - d for d in out_degrees]
+    reach = sum(d >= floor for d in in_degrees)
+    if reach < k:
+        raise TooSmall(f"only {reach} vertices reach the in-degree floor",
                        stage="balanced-set", universe=size)
-    window = first_window(degs, max(0, floor), width, k)
+    window = first_window(vertices, in_degrees, max(0, floor), width, k)
     if window is None:
         raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
                        stage="balanced-set", universe=size)
     start, chosen = window
-    dmin = min(degs[v] for v in chosen)
-    dmax = max(degs[v] for v in chosen)
+    chosen_degrees = [size - 1 - (t.out_mask(v) & uni).bit_count() for v in chosen]
+    dmin, dmax = min(chosen_degrees), max(chosen_degrees)
     return BalancedSet(
         vertices=tuple(chosen),
         m=(dmin + dmax) // 2,
@@ -358,15 +356,12 @@ def peel_low_outdegree(
     peeled: List[int] = []
     thr = math.ceil(params.peel_threshold)  # exact for the integer degrees
     while len(peeled) < params.k and cur:
-        best = None
-        for v in bits_of(cur):
-            d = (t.out_mask(v) & cur).bit_count()
-            if d < thr and (best is None or d < best[0]):
-                best = (d, v)
-        if best is None:
+        vertices, degrees = universe_degrees(t, cur)
+        d, v = min(zip(degrees, vertices))
+        if d >= thr:
             break
-        peeled.append(best[1])
-        cur &= ~(1 << best[1])
+        peeled.append(v)
+        cur &= ~(1 << v)
     return peeled, cur
 
 
@@ -548,7 +543,7 @@ def find_complete_subdivision_ex(
     if k < 2:
         raise ValueError("k must be at least 2")
     params = (params or FinderParams(k=k)).rescaled(k)
-    min_out = min(t.out_degree(v) for v in t.vertices()) if t.n else 0
+    min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
 
     if k == 2:
         # A single directed cycle is the whole job; delta+ >= 1 forces a
@@ -597,7 +592,7 @@ def find_digraph_subdivision_ex(
         branch = [0, 0]
         branch[u], branch[v] = a, b
         return _assemble(t, pattern, tuple(branch), {}), ()
-    min_out = min(t.out_degree(v) for v in t.vertices()) if t.n else 0
+    min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
     factor = DEFAULT_DIGRAPH_DEGREE_FACTOR
     if params.paper_faithful and min_out < factor * len(pattern.edges):
         raise InfeasibleDegree(

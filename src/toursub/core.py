@@ -7,7 +7,9 @@ is the complement row, and all set operations used by the finders reduce to
 integer bit arithmetic.
 
 A subtournament is a universe mask over its host; the finders restrict rows
-with ``& universe`` and report host vertices.  ``induced`` builds a
+with ``& universe`` and report host vertices.  ``universe_degrees`` lists a
+universe's vertices with their out-degrees inside it in one pass, for every
+finder stage that ranks or pigeonholes by degree.  ``induced`` builds a
 standalone, renumbered copy.  A ``Cut`` holds its three vertex sets as host
 bitmasks too.
 
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 __all__ = [
     "Tournament",
@@ -32,6 +36,7 @@ __all__ = [
     "rotational_tournament",
     "blowup_cyclic_triangle",
     "first_window",
+    "universe_degrees",
     "induced",
     "format_tournament",
     "write_tournament",
@@ -206,23 +211,38 @@ def generate(kind: str, n: int, seed: Optional[int] = None) -> Tournament:
     raise ValueError(f"unknown tournament kind: {kind!r}")
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def universe_degrees(t: Tournament, uni: int) -> Tuple[List[int], List[int]]:
+    """The vertices of ``uni`` in ascending order, and each one's out-degree
+    inside ``uni``, as two parallel lists.
+
+    Character i of the reversed ``bin(uni)`` is bit i, so one C-level
+    ``translate`` to 0/1 bytes and one ``compress`` list the vertices with
+    no per-bit big-int arithmetic; one comprehension over the rows counts
+    the degrees."""
+    bits = bin(uni)[:1:-1].encode().translate(_BIT_BYTES)
+    vertices = list(compress(range(len(bits)), bits))
+    rows = t._out
+    return vertices, [(rows[v] & uni).bit_count() for v in vertices]
+
+
 def first_window(
-    degrees: Mapping[int, int], start: int, width: int, k: int
+    vertices: Sequence[int], degrees: Sequence[int], start: int, width: int, k: int
 ) -> Optional[Tuple[int, List[int]]]:
-    """Degree pigeonhole: the lowest window ``[lo, lo + width)``, with ``lo``
-    in ``start, start + width, ...``, holding at least k of the vertices
-    (keys of ``degrees``), as ``(lo, its k lowest vertices)``; None when no
-    window does.  Degrees below ``start`` are ignored.  Each degree is
-    bucketed once, so the windows are not rescanned from the floor up."""
-    windows: Dict[int, List[int]] = {}
-    for v, d in degrees.items():
-        if d >= start:
-            windows.setdefault((d - start) // width, []).append(v)
-    for j in sorted(windows):
-        members = windows[j]
-        if len(members) >= k:
-            return start + j * width, sorted(members)[:k]
-    return None
+    """Degree pigeonhole over the ascending ``vertices`` and their parallel
+    ``degrees``: the lowest window ``[lo, lo + width)``, with ``lo`` in
+    ``start, start + width, ...``, holding at least k of the vertices, as
+    ``(lo, its k lowest vertices)``; None when no window does.  Degrees
+    below ``start`` are ignored: their slots are negative.  Each degree gets
+    its window slot once and one count of the slots finds the window, so the
+    windows are not rescanned from the floor up."""
+    slots = [(d - start) // width for d in degrees]
+    j = min((j for j, count in Counter(slots).items() if count >= k and j >= 0), default=None)
+    if j is None:
+        return None
+    return start + j * width, list(islice(compress(vertices, map(j.__eq__, slots)), k))
 
 
 def induced(t: Tournament, vertices: Iterable[int]) -> Tournament:
@@ -261,12 +281,14 @@ class Cut:
 
 def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
     """Internals of an x -> y path of length 2 or 3 through ``avail``: the
-    lowest 2-path internal, else the lexicographically lowest 3-path."""
-    w = t.out_mask(x) & t.in_mask(y) & avail
+    lowest 2-path internal, else the lexicographically lowest 3-path.  A row
+    never holds its own vertex, so z needs no masking out of its own row."""
+    into_y = t.in_mask(y) & avail
+    w = t.out_mask(x) & into_y
     if w:
         return ((w & -w).bit_length() - 1,)
     for z in bits_of(t.out_mask(x) & avail):
-        ww = t.out_mask(z) & t.in_mask(y) & avail & ~(1 << z)
+        ww = t.out_mask(z) & into_y
         if ww:
             return (z, (ww & -ww).bit_length() - 1)
     return None

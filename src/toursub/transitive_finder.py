@@ -30,7 +30,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .core import Tournament, _try_short_path, bits_of, first_window, mask_of
+from .core import Tournament, _try_short_path, bits_of, first_window, mask_of, universe_degrees
 from .errors import BallTooLarge, FailureTrace, InfeasibleSize, StageFailure, TooSmall
 from .params import FinderParams
 from .subdivision import PathWitness, Subdivision, pattern_transitive
@@ -75,18 +75,13 @@ class NearlyRegularSet:
 
 def _ratio_set(t: Tournament, uni: int) -> Tuple[List[int], List[int]]:
     """Vertices satisfying each side chain (overlap allowed when d+ = d-)."""
-    n = uni.bit_count()
-    out_side = []
-    in_side = []
-    for v in bits_of(uni):
-        dp = (t.out_mask(v) & uni).bit_count()
-        dm = n - 1 - dp
-        if dp == 0 or dm == 0:
-            continue
-        if dm <= dp <= RATIO_BOUND * dm:
-            out_side.append(v)
-        if dp <= dm <= RATIO_BOUND * dp:
-            in_side.append(v)
+    vertices, degrees = universe_degrees(t, uni)
+    top = len(vertices) - 1  # d+ + d- for every vertex
+    # 0 < d- <= d+ <= C d- and 0 < d+ <= d- <= C d+ as ranges of d+ = top - d-.
+    out_lo, out_hi = -(-top // 2), min(top - 1, RATIO_BOUND * top // (RATIO_BOUND + 1))
+    in_lo, in_hi = max(1, -(-top // (RATIO_BOUND + 1))), top // 2
+    out_side = [v for v, d in zip(vertices, degrees) if out_lo <= d <= out_hi]
+    in_side = [v for v, d in zip(vertices, degrees) if in_lo <= d <= in_hi]
     return out_side, in_side
 
 
@@ -128,8 +123,8 @@ def find_nearly_regular_k(t: Tournament, k: int, universe: Optional[int] = None)
                        stage="nearly-regular")
     base_set = find_nearly_regular(t, uni)
     width = DEGREE_WINDOW_FACTOR * k
-    in_degrees = {v: n - 1 - (t.out_mask(v) & uni).bit_count() for v in base_set.vertices}
-    window = first_window(in_degrees, 0, width, k)
+    in_degrees = [n - 1 - (t.out_mask(v) & uni).bit_count() for v in base_set.vertices]
+    window = first_window(base_set.vertices, in_degrees, 0, width, k)
     if window is None:
         raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
                        stage="nearly-regular")
@@ -287,12 +282,13 @@ def build_aux_graph(
     # An integer is below a rational exactly when it is below its ceiling.
     threshold = math.ceil(params.aux_threshold)
     uni = t.full_mask if universe is None else universe
-    rows = [t.out_mask(v) & uni for v in bits_of(uni)]
+    vertices, degrees = universe_degrees(t, uni)
+    rows = [t.out_mask(v) & uni for v in vertices]
     g = Graph(len(rows))
     adj = g.adj
     buckets: Dict[int, List[int]] = {}
-    for v, row in enumerate(rows):
-        buckets.setdefault(row.bit_count(), []).append(v)
+    for v, d in enumerate(degrees):
+        buckets.setdefault(d, []).append(v)
     for dx, xs in buckets.items():
         for gap in range(0 if threshold > 2 else 1, threshold):
             ys = buckets.get(dx + gap)
@@ -426,7 +422,8 @@ def partition_components(
     m = members.bit_count()
     if m == 0:
         raise ValueError("no component vertices to partition")
-    sigma = sorted(bits_of(members), key=lambda v: (-(t.out_mask(v) & uni).bit_count(), v))
+    vertices, degrees = universe_degrees(t, uni)
+    sigma = [v for _, v in sorted((-d, v) for v, d in zip(vertices, degrees) if members >> v & 1)]
     a1 = mask_of(sigma[:m // 2])
     a2 = members & ~a1
     lower = (1.0 - 1.0 / (2.0 * math.log(max(uni.bit_count(), 3)))) * m / 4.0
@@ -486,9 +483,9 @@ def transitive_chain(t: Tournament, universe: Optional[int] = None) -> List[int]
     stale = True
     while cur:
         if stale:
-            buckets = [0] * cur.bit_count()
-            for w in bits_of(cur):
-                d = (t.out_mask(w) & cur).bit_count()
+            vertices, degrees = universe_degrees(t, cur)
+            buckets = [0] * len(vertices)
+            for w, d in zip(vertices, degrees):
                 deg[w] = d
                 buckets[d] |= 1 << w
             top = len(buckets) - 1

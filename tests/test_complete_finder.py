@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from conftest import assert_certified_cut
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toursub.complete_finder import (
     BalancedSet,
@@ -36,6 +39,7 @@ from toursub.errors import (
     InsufficientOutNeighbours,
     TooSmall,
 )
+from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.subdivision import PatternDigraph, pattern_complete_digraph, verify
 
@@ -285,38 +289,95 @@ def test_peel_strict_threshold_on_regular_host():
     assert rest == rotational_tournament(11).full_mask
 
 
-@pytest.mark.parametrize("k, offset", [(3, Fraction(1, 2)), (4, Fraction(5, 2)), (5, Fraction(7, 3))])
-def test_peel_matches_rational_reference(k, offset):
-    # A threshold a fraction above the host's minimum out-degree: the
-    # minimum-degree vertex is peeled only if each integer degree is
-    # compared exactly, not against the threshold rounded down.
-    t = random_tournament(150, k)
-    threshold = min(t.out_degree(v) for v in t.vertices()) + offset
-    params = FinderParams(k, threshold / FinderParams(k).peel_threshold)
-    assert params.peel_threshold == threshold
-    cur, peeled = t.full_mask, []
-    while len(peeled) < k:
+def reference_peel(t, params, universe=None):
+    """Rescan the whole current set for each pick: the lowest out-degree
+    below the rational threshold, then the lowest index."""
+    cur = t.full_mask if universe is None else universe
+    peeled = []
+    while len(peeled) < params.k:
         degs = [((t.out_mask(v) & cur).bit_count(), v) for v in bits_of(cur)]
         low = [dv for dv in degs if dv[0] < params.peel_threshold]
         if not low:
             break
         peeled.append(min(low)[1])
         cur &= ~(1 << peeled[-1])
+    return peeled, cur
+
+
+def params_with_peel_threshold(k, threshold):
+    params = FinderParams(k, threshold / FinderParams(k).peel_threshold)
+    assert params.peel_threshold == threshold
+    return params
+
+
+@pytest.mark.parametrize("k, offset", [(3, Fraction(1, 2)), (4, Fraction(5, 2)), (5, Fraction(7, 3))])
+def test_peel_matches_rational_reference(k, offset):
+    # A threshold a fraction above the host's minimum out-degree: the
+    # minimum-degree vertex is peeled only if each integer degree is
+    # compared exactly, not against the threshold rounded down.
+    t = random_tournament(150, k)
+    params = params_with_peel_threshold(k, min(t.out_degree(v) for v in t.vertices()) + offset)
+    peeled, cur = reference_peel(t, params)
     assert peeled
     assert peel_low_outdegree(t, params) == (peeled, cur)
 
 
+PEEL_HOST_KINDS = SWEEP_KINDS + ("transitive",)
+
+
+@st.composite
+def peel_cases(draw):
+    """A host of a sweep kind (or transitive), a universe over it (the whole
+    host, empty, one vertex or a random subset), k, and a peel threshold at
+    an integer or a fraction above one, spanning the host's degrees."""
+    kind = draw(st.sampled_from(PEEL_HOST_KINDS))
+    n = draw(st.integers(1, 120))
+    seed = draw(st.integers(0, 2**16))
+    t = transitive_tournament(n) if kind == "transitive" else build_host(kind, n, seed)
+    shape = draw(st.sampled_from(["none", "empty", "single", "subset", "subset"]))
+    if shape == "none":
+        universe = None
+    elif shape == "empty":
+        universe = 0
+    elif shape == "single":
+        universe = 1 << draw(st.integers(0, n - 1))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        keep = draw(st.sampled_from([0.1, 0.5, 0.9]))
+        universe = mask_of(v for v in t.vertices() if rng.random() < keep)
+    k = draw(st.integers(1, 8))
+    above = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(99, 100)]))
+    # A positive scale needs a positive threshold: 0 becomes 1/2.
+    threshold = draw(st.integers(0, n)) + above or Fraction(1, 2)
+    return t, universe, params_with_peel_threshold(k, threshold)
+
+
+@given(peel_cases())
+@settings(max_examples=400, deadline=None)
+def test_peel_matches_rescanning_reference(case):
+    t, universe, params = case
+    assert peel_low_outdegree(t, params, universe) == reference_peel(t, params, universe)
+
+
 def test_peel_disjunction_on_random_host():
     t = random_tournament(60, 9)
-    params = FinderParams(4, Fraction(1, 16))  # threshold (16 + 144)/16 = 10
-    assert params.peel_threshold == 10
-    peeled, rest = peel_low_outdegree(t, params)
-    if len(peeled) == 4:
-        assert True
-    else:
-        for v in range(60):
-            if (1 << v) & rest:
-                assert (t.out_mask(v) & rest).bit_count() >= 10
+    # Threshold (16 + 144) * scale: 10 peels nothing, 20 peels two and then
+    # every degree reaches it, 40 peels k vertices.
+    for scale, peeled_count in [(Fraction(1, 16), 0), (Fraction(1, 8), 2), (Fraction(1, 4), 4)]:
+        params = FinderParams(4, scale)
+        threshold = params.peel_threshold
+        peeled, rest = peel_low_outdegree(t, params)
+        assert len(peeled) == peeled_count
+        # Replay: each peeled vertex is below the threshold inside the set it
+        # was removed from, and removing them leaves ``rest``.
+        cur = t.full_mask
+        for v in peeled:
+            assert cur >> v & 1
+            assert (t.out_mask(v) & cur).bit_count() < threshold
+            cur &= ~(1 << v)
+        assert cur == rest
+        if len(peeled) < params.k:
+            assert all((t.out_mask(v) & rest).bit_count() >= threshold for v in bits_of(rest))
 
 
 # --- chain embedding --------------------------------------------------------------

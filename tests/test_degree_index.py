@@ -1,13 +1,14 @@
-"""The degree-indexed aux graph, the bucket-queue transitive chain, the
-shared degree-window pigeonhole and the component partition against the
-implementations they replaced.
+"""The universe degree lists, the degree-indexed aux graph, the bucket-queue
+transitive chain, the shared degree-window pigeonhole, the ratio set and
+the component partition against the implementations they replaced.
 
-The reference functions below are the per-pair aux graph, the rescanning
-chain, the two window loops that rescanned every degree once per window,
-and the component partition with list membership.  Each new routine must
-return exactly what its reference returns: the same adjacency lists in the
-same order, the same chain, the same branch set or the same ``TooSmall``,
-the same families.
+The reference functions below are the per-bit degree loop, the per-pair aux
+graph, the rescanning chain, the two window loops that rescanned every
+degree once per window, the ratio set's chained comparisons, and the
+component partition with list membership.  Each new routine must return
+exactly what its reference returns: the same vertices and degrees, the same
+adjacency lists in the same order, the same chain, the same branch set or
+the same ``TooSmall``, the same sides, the same families.
 """
 
 import math
@@ -26,14 +27,17 @@ from toursub.core import (
     mask_of,
     rotational_tournament,
     transitive_tournament,
+    universe_degrees,
 )
 from toursub.errors import TooSmall
 from toursub.experiments import SWEEP_KINDS, build_host, sweep
 from toursub.params import FinderParams
 from toursub.transitive_finder import (
     DEGREE_WINDOW_FACTOR,
+    RATIO_BOUND,
     Graph,
     NearlyRegularSet,
+    _ratio_set,
     build_aux_graph,
     find_nearly_regular,
     find_nearly_regular_k,
@@ -42,6 +46,25 @@ from toursub.transitive_finder import (
 )
 
 # --- references --------------------------------------------------------------
+
+
+def reference_universe_degrees(t, uni):
+    return [(v, (t.out_mask(v) & uni).bit_count()) for v in bits_of(uni)]
+
+
+def reference_ratio_set(t, uni):
+    n = uni.bit_count()
+    out_side, in_side = [], []
+    for v in bits_of(uni):
+        dp = (t.out_mask(v) & uni).bit_count()
+        dm = n - 1 - dp
+        if dp == 0 or dm == 0:
+            continue
+        if dm <= dp <= RATIO_BOUND * dm:
+            out_side.append(v)
+        if dp <= dm <= RATIO_BOUND * dp:
+            in_side.append(v)
+    return out_side, in_side
 
 
 def reference_aux_graph(t, k, params):
@@ -231,6 +254,63 @@ def aux_params(draw):
     return k, params
 
 
+# --- universe degrees --------------------------------------------------------
+
+
+@st.composite
+def degree_universes(draw, t):
+    """The empty set, one vertex, the whole host, or a random subset that
+    always holds the host's top vertex (the leading bit of ``bin``)."""
+    shape = draw(st.sampled_from(["empty", "single", "full", "subset", "subset"]))
+    if shape == "empty":
+        return 0
+    if shape == "single":
+        return 1 << draw(st.integers(0, t.n - 1))
+    if shape == "full":
+        return t.full_mask
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return mask_of(v for v in t.vertices() if rng.random() < keep) | 1 << (t.n - 1)
+
+
+@given(hosts(max_n=300).flatmap(lambda t: st.tuples(st.just(t), degree_universes(t))))
+@settings(max_examples=400, deadline=None)
+def test_universe_degrees_matches_per_bit_reference(t_universe):
+    t, uni = t_universe
+    vertices, degrees = universe_degrees(t, uni)
+    assert list(zip(vertices, degrees)) == reference_universe_degrees(t, uni)
+    assert len(vertices) == len(degrees) == uni.bit_count()
+
+
+def test_universe_degrees_small_cases():
+    t = transitive_tournament(70)  # out-degree of v is 69 - v
+    assert universe_degrees(t, 0) == ([], [])
+    assert universe_degrees(t, 1) == ([0], [0])
+    assert universe_degrees(t, 1 << 69) == ([69], [0])
+    assert universe_degrees(t, t.full_mask) == (list(range(70)), list(range(69, -1, -1)))
+    assert universe_degrees(t, 1 << 64 | 1 << 63 | 1) == ([0, 63, 64], [2, 1, 0])
+
+
+# --- ratio set ---------------------------------------------------------------
+
+
+@given(hosts(max_n=300).flatmap(lambda t: st.tuples(st.just(t), degree_universes(t))))
+@settings(max_examples=300, deadline=None)
+def test_ratio_set_matches_chained_comparison_reference(t_universe):
+    # The ranges of d+ must cut where the chained comparisons do, for every
+    # universe size: the small ones put the ends at d+ = 0 and d- = 0.
+    t, uni = t_universe
+    assert _ratio_set(t, uni) == reference_ratio_set(t, uni)
+
+
+def test_ratio_set_on_every_transitive_size():
+    # A transitive host has every out-degree 0..n-1 once, so each size
+    # checks each value of d+.
+    for n in range(1, 120):
+        t = transitive_tournament(n)
+        assert _ratio_set(t, t.full_mask) == reference_ratio_set(t, t.full_mask)
+
+
 # --- aux graph ---------------------------------------------------------------
 
 
@@ -300,7 +380,9 @@ def test_chain_small_cases():
        st.integers(0, 20), st.integers(1, 12), st.integers(1, 6))
 @settings(max_examples=500, deadline=None)
 def test_first_window_matches_rescanning_reference(degrees, start, width, k):
-    assert first_window(degrees, start, width, k) == reference_first_window(degrees, start, width, k)
+    vertices = sorted(degrees)
+    assert first_window(vertices, [degrees[v] for v in vertices], start, width, k) == \
+        reference_first_window(degrees, start, width, k)
 
 
 SCALES = [Fraction(1, 96), Fraction(1, 16), Fraction(1, 8), Fraction(3, 7), Fraction(1, 2), Fraction(1)]
