@@ -285,21 +285,6 @@ def validate_cut(cut: Cut, k: int) -> None:
         raise CutInvalid("sink smaller than k", ns, nu, nw)
 
 
-def _split_half_matching(hm: HalfMatching) -> Tuple[dict, dict]:
-    """Split a half-matching into two one-to-one matchings: each source
-    vertex's lowest partner goes to the first, its second to the other."""
-    by_target: Dict[int, List[int]] = {}
-    for u, s in hm.edges:
-        by_target.setdefault(s, []).append(u)
-    u1, u2 = {}, {}
-    for s, partners in sorted(by_target.items()):
-        partners.sort()
-        u1[partners[0]] = s
-        if len(partners) > 1:
-            u2[partners[1]] = s
-    return u1, u2
-
-
 def minimize_cut(t: Tournament, cut: Cut) -> Cut:
     """Shrink (U, S) by the violator replacement until the half-matching
     certificate succeeds; returns the cut with its certificate.
@@ -315,20 +300,16 @@ def minimize_cut(t: Tournament, cut: Cut) -> Cut:
     """
     u, s = cut.cut, cut.source
     for _ in range(u.bit_count() + s.bit_count() + 1):
-        left = list(bits_of(u))
-        adj = {v: list(bits_of(t.out_mask(v) & s)) for v in left}
-        res = half_matching(left, list(bits_of(s)), adj)
+        res = half_matching(t.out_mask, u, s)
         if isinstance(res, HalfMatching):
             rest = (cut.cut | cut.source | cut.sink) & ~u & ~s
             for v in bits_of(s):
                 if rest & ~t.out_mask(v):
                     raise RuntimeError(f"repair broke the source orientation at vertex {v}")
-            m1, m2 = _split_half_matching(res)
-            return Cut(cut=u, source=s, sink=rest, m_prime=m1, m_dprime=m2)
+            return Cut(cut=u, source=s, sink=rest, m_prime=res.first, m_dprime=res.second)
         assert isinstance(res, HallViolator)
-        x = nx = 0
-        for v in res.vertices:
-            x |= 1 << v
+        x, nx = res.vertices, 0
+        for v in bits_of(x):
             nx |= t.out_mask(v) & s
         new_u = (u & ~x) | nx
         if new_u.bit_count() >= u.bit_count():
@@ -367,7 +348,6 @@ def peel_low_outdegree(
 
 def embed_via_cut_chain(
     t: Tournament,
-    branch: Sequence[int],
     pairs: Sequence[Tuple[int, int]],
     chain: Sequence[Cut],
 ) -> List[PathWitness]:
@@ -518,7 +498,7 @@ def _embed_pattern(
     # route through the cut chain.
     remaining = [p for p in _needed_pairs(t, pattern, branch) if p not in path_map]
     if remaining:
-        for w in embed_via_cut_chain(t, branch, remaining, chain):
+        for w in embed_via_cut_chain(t, remaining, chain):
             path_map[(w.from_v, w.to_v)] = w.internals
     return _assemble(t, pattern, branch, path_map)
 

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -205,7 +204,6 @@ def sweep(
     n: int,
     scale: Fraction,
     seed: int,
-    kinds: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> Tuple[List[dict], List[Tuple[int, Cut]], List[str]]:
     """Run one finder (complete, tt3 or onesub) across a seeded host mix.
@@ -218,7 +216,7 @@ def sweep(
         raise ValueError(f"unknown sweep finder {finder!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    kinds = kinds or (SWEEP_KINDS if finder == "complete" else TT_KINDS)
+    kinds = SWEEP_KINDS if finder == "complete" else TT_KINDS
     jobs = [
         (finder, i, kinds[i % len(kinds)], n, k, str(scale), seed)
         for i in range(trials)
@@ -236,6 +234,9 @@ def _run_jobs(fn, jobs, workers: int):
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(j) for j in jobs]
+    # Imported here: loading multiprocessing at module level slows every CLI start.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))  # map keeps job order, so rows stay index-sorted
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -36,7 +37,8 @@ class FinderParams:
 
     ``scale`` multiplies every threshold coherently; 1 reproduces the source
     constants, smaller values allow desk-size experiments where only
-    soundness (never the success guarantee) is preserved.
+    soundness (never the success guarantee) is preserved.  The thresholds
+    that take no argument are computed once per instance and cached.
     """
 
     k: int
@@ -54,30 +56,30 @@ class FinderParams:
     def paper_faithful(self) -> bool:
         return self.scale == 1
 
-    @property
+    @cached_property
     def k74(self) -> int:
         return ceil_k74(self.k)
 
-    @property
+    @cached_property
     def slack(self) -> Fraction:
         """Degree window half-width / additive slack term (scaled k^(7/4))."""
         return self.scale * self.k74
 
-    @property
+    @cached_property
     def window_width(self) -> int:
         return max(1, math.ceil(self.slack))
 
-    @property
+    @cached_property
     def peel_threshold(self) -> Fraction:
         """Out-degree peel bound: k^2 + 12 k^(7/4), scaled."""
         return self.scale * (self.k**2 + 12 * self.k74)
 
-    @property
+    @cached_property
     def min_out_degree(self) -> Fraction:
         """Host minimum out-degree required at scale 1: 2k^2 + 147 k^(7/4)."""
         return self.scale * (2 * self.k**2 + 147 * self.k74)
 
-    @property
+    @cached_property
     def balanced_min_size(self) -> Fraction:
         """Smallest size admitting a balanced set (the alpha >= 1 point)."""
         return self.scale * (2 * self.k**2 + 24 * self.k74)
@@ -92,17 +94,17 @@ class FinderParams:
         """In-degree floor for balanced-set candidates: alpha k^2 + 2 k^(7/4)."""
         return self.scale * (alpha * self.k**2 + 2 * self.k74)
 
-    @property
+    @cached_property
     def tt3_min_size(self) -> Fraction:
         """Transitive-subdivision size gate: 150 k^2, scaled."""
         return self.scale * 150 * self.k**2
 
-    @property
+    @cached_property
     def aux_threshold(self) -> Fraction:
         """Out-neighbourhood symmetric-difference threshold: 2 k^2, scaled."""
         return self.scale * 2 * self.k**2
 
-    @property
+    @cached_property
     def onesub_min_size(self) -> float:
         """1-subdivision size gate: 1e7 k^2 ln^3 k, scaled (float: ln is
         transcendental; the gate is only an admission check)."""

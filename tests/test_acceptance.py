@@ -15,6 +15,7 @@ from conftest import assert_certified_cut
 from toursub.complete_finder import find_complete_subdivision
 from toursub.core import (
     blowup_cyclic_triangle,
+    mask_of,
     random_tournament,
     rotational_tournament,
     transitive_tournament,
@@ -118,22 +119,22 @@ def test_acceptance_4_half_matching_equivalence():
         nl = rng.randrange(1, 13)
         nr = rng.randrange(1, 13)
         density = rng.choice((0.15, 0.3, 0.5, 0.8))
-        adj = {
-            u: [v for v in range(nr) if rng.random() < density]
+        # left vertex u is host u, right vertex v is host 12 + v
+        rows = [
+            mask_of(12 + v for v in range(nr) if rng.random() < density)
             for u in range(nl)
-        }
-        res = half_matching(list(range(nl)), list(range(nr)), adj)
-        brute = hall_half_condition(list(range(nl)), adj)
+        ]
+        left, right = (1 << nl) - 1, ((1 << nr) - 1) << 12
+        res = half_matching(rows.__getitem__, left, right)
+        brute = hall_half_condition(rows.__getitem__, left, right)
         assert isinstance(res, HalfMatching) == brute
         if isinstance(res, HalfMatching):
             successes += 1
-            lefts = sorted(u for u, _ in res.edges)
-            assert lefts == list(range(nl))
-            from collections import Counter
-
-            usage = Counter(v for _, v in res.edges)
-            assert all(c <= 2 for c in usage.values())
-            assert all(v in adj[u] for u, v in res.edges)
+            assert mask_of(res.first) | mask_of(res.second) == left
+            assert not mask_of(res.first) & mask_of(res.second)
+            for half in (res.first, res.second):
+                assert len(set(half.values())) == len(half)  # so each right is used at most twice
+                assert all(rows[u] >> v & 1 for u, v in half.items())
     _report(4, f"2000 instances, {successes} saturations, equivalence exact")
 
 

@@ -1,6 +1,9 @@
 import ast
+import concurrent.futures
 import importlib
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,7 +89,7 @@ def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(toursub.experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     args = dict(k=3, trials=2, n=60, scale=Fraction(1, 12), seed=4)
     serial, _, _ = sweep("tt3", **args)
     rows, _, _ = sweep("tt3", **args, workers=5000)
@@ -100,6 +103,14 @@ def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
     rows, _, _ = sweep("tt3", **dict(args, trials=1), workers=5000)
     assert rows == serial[:1]
     assert len(requested) == pools  # one job runs in this process, without a pool
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # The sweep imports its pool only when it runs several workers, so a CLI
+    # start does not pay for loading multiprocessing.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import toursub.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
 def test_sweep_tt3_and_onesub():

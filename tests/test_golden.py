@@ -7,10 +7,10 @@ trace, a certificate or a CSV byte shows up here.
 
 Every failure stage the complete driver can report is in the corpus where a
 seeded host reaches it (``derive-cut``, ``balanced-set``,
-``cut-chain-embedding``).  No host reaches ``cut-repair``: the dichotomy
-already rejects a sink smaller than k (``derive-cut``), and the repair only
-grows the sink, so the repair's own sink check never fires from the driver.
-``iterate`` (the working set shrinking below k) is not reached either.
+``cut-chain-embedding``).  Cut repair has no failure stage of its own: the
+dichotomy already rejects a sink smaller than k (``derive-cut``), and the
+repair only grows the sink.  ``iterate`` (the working set shrinking below k)
+is not reached.
 
 The transitive finders reach ``nearly-regular``, ``aux-graph-precondition``,
 ``cross-pair-exhaustion``, ``base-transitive`` and the plain ``recursion-size``
