@@ -24,7 +24,9 @@ budget, as the node-by-node search does, with nothing found before.  A
 state is never its own descendant (each step drops a pending edge) and a
 success returns before any record, so the result and node count are those
 of the search without the table.  The table is cleared at each full
-branch map and when it holds ``_TABLE_LIMIT`` entries.
+branch map and when it holds ``_TABLE_LIMIT`` entries.  The state that
+starts a branch map's embedding (every edge pending) is neither looked up
+nor recorded: it comes just after a clear and is never revisited.
 
 NotFound is exact: when the search exhausts without exceeding the node
 budget, no subdivision within the length caps exists.
@@ -51,10 +53,14 @@ def search_subdivision(
     max_len: int,
     exact_len: Optional[int],
     budget: int,
+    roots: Optional[int] = None,
 ) -> Tuple[int, Optional[Tuple[int, ...]], Optional[List[Tuple[int, ...]]], int]:
-    """Returns (status, branch, internals-per-edge, nodes)."""
+    """Returns (status, branch, internals-per-edge, nodes).  ``roots``, a
+    mask of host vertices, limits the places branch vertex 0 may take; the
+    default is every vertex."""
     n = len(out_masks)
     full = (1 << n) - 1
+    first = full if roots is None else full & roots
     out = list(out_masks)
     inm = [full & ~out[v] & ~(1 << v) for v in range(n)]
     m = len(edges)
@@ -70,6 +76,7 @@ def search_subdivision(
     for ei, (a, b) in enumerate(edges):
         level[max(a, b)].append((ei, a, b))
     all_edges = list(range(m))
+    all_pending = (1 << m) - 1
 
     branch = [-1] * k
     internals: List[Tuple[int, ...]] = [()] * m
@@ -107,7 +114,7 @@ def search_subdivision(
     def assign_branch(i: int) -> bool:
         nonlocal used, nodes
         checks = level[i]
-        cands = full & ~used
+        cands = full & ~used if i else first
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -139,7 +146,7 @@ def search_subdivision(
                         return True
                 else:
                     failed.clear()
-                    if embed_edges(all_edges, (1 << m) - 1):
+                    if embed_edges(all_edges, all_pending):
                         return True
             branch[i] = -1
             used ^= bit
@@ -149,15 +156,17 @@ def search_subdivision(
         nonlocal used, nodes
         if not pending:
             return True
-        key = (pmask << n) | used
-        seen = failed.get(key)
-        if seen is not None:
-            nodes += seen
-            if nodes > budget:
-                nodes = budget + 1
-                raise _Budget
-            return False
-        start = nodes
+        top = pmask == all_pending  # the state that starts a branch map's embedding
+        if not top:
+            key = (pmask << n) | used
+            seen = failed.get(key)
+            if seen is not None:
+                nodes += seen
+                if nodes > budget:
+                    nodes = budget + 1
+                    raise _Budget
+                return False
+            start = nodes
         free = full & ~used
         if longer:
             est = [direct[e] + (both[e] & free).bit_count()
@@ -193,9 +202,10 @@ def search_subdivision(
             for length in long_lengths:
                 if extend(0, length - 2, tail_out[pick], pick, rest, rmask):
                     return True
-        if len(failed) >= _TABLE_LIMIT:
-            failed.clear()
-        failed[key] = nodes - start
+        if not top:
+            if len(failed) >= _TABLE_LIMIT:
+                failed.clear()
+            failed[key] = nodes - start
         return False
 
     def extend(depth: int, last: int, reach: int, pick: int, rest: List[int],
@@ -226,7 +236,7 @@ def search_subdivision(
         return False
 
     try:
-        found = assign_branch(0) if k > 0 else embed_edges(all_edges, (1 << m) - 1)
+        found = assign_branch(0) if k > 0 else embed_edges(all_edges, all_pending)
     except _Budget:
         return BUDGET_EXCEEDED, None, None, nodes
     if found:

@@ -334,6 +334,8 @@ def peel_low_outdegree(
     the current subtournament (minimum degree first, then lowest index),
     stopping at k removals; returns (peeled, remaining-mask)."""
     cur = t.full_mask if universe is None else universe
+    if cur >> t.n:
+        raise ValueError("the universe must lie inside the host")
     peeled: List[int] = []
     thr = math.ceil(params.peel_threshold)  # exact for the integer degrees
     while len(peeled) < params.k and cur:

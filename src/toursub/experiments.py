@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _kernel
 from .complete_finder import find_complete_subdivision_ex
 from .core import (
     Cut,
@@ -231,7 +231,7 @@ def sweep(
 def _run_jobs(fn, jobs, workers: int):
     # A forking pool starts every worker at its first submit, so it gets no
     # more workers than there are jobs or cores.
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _kernel._usable_cores())
     if workers <= 1:
         return [fn(j) for j in jobs]
     # Imported here: loading multiprocessing at module level slows every CLI start.

@@ -176,6 +176,14 @@ def test_greedy_rejects_a_branch_vertex_outside_its_universe():
                                    universe=t.full_mask & ~(1 << 2))
 
 
+@pytest.mark.parametrize("extra", [1 << 12, 1 << 40])
+def test_peel_rejects_a_universe_outside_the_host(extra):
+    # The 12-vertex host has no vertex 12 or 40.
+    t = random_tournament(12, 0)
+    with pytest.raises(ValueError, match="universe must lie inside the host"):
+        peel_low_outdegree(t, FinderParams(3, Fraction(1)), universe=0b111 | extra)
+
+
 # --- cut derivation -------------------------------------------------------------
 
 

@@ -94,8 +94,8 @@ def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
     serial, _, _ = sweep("tt3", **args)
     rows, _, _ = sweep("tt3", **args, workers=5000)
     assert rows == serial
-    assert all(w <= min(2, os.cpu_count() or 1) for w in requested)
-    monkeypatch.setattr(toursub.experiments.os, "cpu_count", lambda: 64)
+    assert all(w <= min(2, toursub._kernel._usable_cores()) for w in requested)
+    monkeypatch.setattr(toursub._kernel, "_usable_cores", lambda: 64)
     rows, _, _ = sweep("tt3", **args, workers=5000)
     assert rows == serial
     assert requested[-1] == 2
