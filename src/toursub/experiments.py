@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import _kernel
 from .complete_finder import find_complete_subdivision_ex
 from .core import (
     Cut,
@@ -221,24 +220,13 @@ def sweep(
         (finder, i, kinds[i % len(kinds)], n, k, str(scale), seed)
         for i in range(trials)
     ]
-    results = _run_jobs(_instance, jobs, workers)
+    from . import _workers  # loaded by a sweep only, not at every CLI start
+
+    results = list(_workers.imap(_instance, jobs, workers))  # in job order
     rows = [r for r, _, _ in results]
     chains = [c for _, cs, _ in results for c in cs]
     bad = [b for _, _, b in results if b]
     return rows, chains, bad
-
-
-def _run_jobs(fn, jobs, workers: int):
-    # A forking pool starts every worker at its first submit, so it gets no
-    # more workers than there are jobs or cores.
-    workers = min(workers, len(jobs), _kernel._usable_cores())
-    if workers <= 1:
-        return [fn(j) for j in jobs]
-    # Imported here: loading multiprocessing at module level slows every CLI start.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))  # map keeps job order, so rows stay index-sorted
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Check the forked kernel search against the in-process one.
+"""Check the forked kernel search and sweep against the in-process ones.
 
     PYTHONPATH=src python tests/fanout_differential.py [--queries 300] [--seed 0]
 
@@ -7,9 +7,11 @@ installed.  It forces every query through the fan-out (no in-process probe,
 two workers) and draws seeded random hosts of 0-10 vertices, patterns,
 length caps and a budget inside each search tree.  It then draws a tenth as
 many queries while a second thread is alive, when no query may fork.  It
-exits 1 on an answer that differs from ``pure.search_subdivision``, on a
-fork beside a second thread, on any warning (Python 3.12 warns when a
-threaded process forks) and on a child process left behind.
+also compares the CSV body of one two-worker sweep with the serial one.
+It exits 1 on an answer that differs from ``pure.search_subdivision``, on
+a sweep body that differs, on a fork beside a second thread, on any
+warning (Python 3.12 warns when a threaded process forks) and on a child
+process left behind.
 """
 
 import argparse
@@ -18,9 +20,11 @@ import random
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
-from toursub import _kernel
+from toursub import _kernel, _workers
 from toursub._kernel import pure
+from toursub.experiments import SWEEP_COLUMNS, csv_body, sweep
 from toursub.subdivision import parse_pattern
 
 SPECS = ([f"complete:{k}" for k in range(1, 5)]
@@ -64,13 +68,22 @@ def first_difference(rng, queries):
     return None
 
 
+def sweep_difference():
+    """The CSV bodies of one complete-finder sweep on one and two workers,
+    if they differ, else None."""
+    config = dict(k=3, trials=6, n=120, scale=Fraction(1, 96), seed=9)
+    serial, forked = (csv_body(sweep("complete", **config, workers=w)[0], SWEEP_COLUMNS["complete"])
+                      for w in (1, 2))
+    return None if forked == serial else f"two-worker sweep body differs:\n{forked}\n!=\n{serial}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--queries", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     _kernel._PROBE_NODES = 0
-    _kernel._usable_cores = lambda: 2
+    _workers._usable_cores = lambda: 2
     forks = []
     real_fork = os.fork
 
@@ -82,7 +95,7 @@ def main(argv=None):
     rng = random.Random(args.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        problems = [first_difference(rng, args.queries)]
+        problems = [first_difference(rng, args.queries), sweep_difference()]
         single = len(forks)
         # A second thread keeps every query in-process.
         release = threading.Event()

@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import importlib
 import os
 import subprocess
@@ -9,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import toursub._workers
 import toursub.experiments
+from toursub.cli import main
 from toursub.core import format_tournament, parse_tournament
 from toursub.experiments import (
     COMPLETE_COLUMNS,
@@ -71,45 +72,56 @@ def test_sweep_determinism_and_worker_independence():
 
 
 def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
-    # A forking pool starts all its workers at once, so the sweep must never
-    # ask for more than it has jobs or cores.  The stand-in pool records the
-    # request and maps serially: no process is started.
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # The sweep forks no more workers than it has jobs or cores, and one job
+    # runs in this process.
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     args = dict(k=3, trials=2, n=60, scale=Fraction(1, 12), seed=4)
     serial, _, _ = sweep("tt3", **args)
     rows, _, _ = sweep("tt3", **args, workers=5000)
     assert rows == serial
-    assert all(w <= min(2, toursub._kernel._usable_cores()) for w in requested)
-    monkeypatch.setattr(toursub._kernel, "_usable_cores", lambda: 64)
+    assert len(forks) == (2 if toursub._workers._usable_cores() >= 2 else 0)
+    monkeypatch.setattr(toursub._workers, "_usable_cores", lambda: 64)
+    forks.clear()
     rows, _, _ = sweep("tt3", **args, workers=5000)
     assert rows == serial
-    assert requested[-1] == 2
-    pools = len(requested)
+    assert len(forks) == 2
     rows, _, _ = sweep("tt3", **dict(args, trials=1), workers=5000)
     assert rows == serial[:1]
-    assert len(requested) == pools  # one job runs in this process, without a pool
+    assert len(forks) == 2
+
+
+def test_a_dead_sweep_worker_gives_the_serial_rows(monkeypatch):
+    parent, real = os.getpid(), toursub.experiments._instance
+    monkeypatch.setattr(toursub.experiments, "_instance",
+                        lambda job: real(job) if os.getpid() == parent else os._exit(3))
+    monkeypatch.setattr(toursub._workers, "_usable_cores", lambda: 2)
+    args = dict(k=3, trials=4, n=60, scale=Fraction(1, 12), seed=4)
+    assert sweep("tt3", **args, workers=2) == sweep("tt3", **args)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_error_reads_the_same_on_two_workers(tmp_path, capsys):
+    # The finder's ValueError is raised in the workers; the CLI must still
+    # print it and exit 1, as it does on one worker.
+    for workers in ("1", "2"):
+        code = main(["experiment", "soundness-sweep", "--finder", "complete", "--k", "1",
+                     "--trials", "4", "--n", "60", "--workers", workers,
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: k must be at least 2\n"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # The sweep imports its pool only when it runs several workers, so a CLI
-    # start does not pay for loading multiprocessing.
+    # The worker map is loaded by a sweep or a search past the probe, and
+    # imports what it forks with only when it forks, so a CLI start pays
+    # for none of it.
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import toursub.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
+    code = ("import toursub.cli, sys; loaded = {'concurrent.futures', 'multiprocessing',"
+            " 'pickle', 'select', 'signal', 'toursub._workers'} & set(sys.modules);"
+            " assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 

@@ -1,7 +1,7 @@
 """The forked kernel search against the in-process one.
 
 ``toursub._kernel.search_subdivision`` folds the subtrees of branch vertex
-0 from forked workers and must return the exact 4-tuple of
+0 from ``_workers.imap`` and must return the exact 4-tuple of
 ``pure.search_subdivision``.  Setting ``_PROBE_NODES`` to 0 sends every
 query with a positive budget to the fan-out, and ``_usable_cores`` is
 pinned to 2, so each call forks at most two workers.  No call may leave a
@@ -9,8 +9,8 @@ child process behind, and a dead worker or a failed fork must still give
 the in-process answer.
 """
 
-import concurrent.futures
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -29,7 +29,7 @@ from test_kernel_differential import (
     patterns,
 )
 
-from toursub import _kernel
+from toursub import _kernel, _workers, experiments
 from toursub._kernel import pure
 from toursub.core import blowup_cyclic_triangle, random_tournament, rotational_tournament
 from toursub.experiments import sweep
@@ -37,20 +37,22 @@ from toursub.subdivision import parse_pattern
 
 
 class FanOut:
-    """Forces the fan-out and records what each one returned (None for a
-    fallback to the in-process search)."""
+    """Forces the fan-out and counts the maps that forked and those that
+    fell back to computing their items in-process."""
 
     def __init__(self, monkeypatch):
-        self.folds = []
-        real = _kernel._fan_out
+        self.forked = self.fell_back = 0
+        real = _workers._forked
 
         def spy(*args):
-            self.folds.append(real(*args))
-            return self.folds[-1]
+            self.forked += 1
+            ok = yield from real(*args)
+            self.fell_back += not ok
+            return ok
 
         monkeypatch.setattr(_kernel, "_PROBE_NODES", 0)
-        monkeypatch.setattr(_kernel, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(_kernel, "_fan_out", spy)
+        monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_workers, "_forked", spy)
 
     def search(self, masks, pattern, max_len, exact_len, budget):
         args = (masks, pattern.k, list(pattern.edges), max_len, exact_len, budget)
@@ -77,7 +79,7 @@ def test_same_result_as_the_in_process_search(masks, pattern, max_len, exact_len
         budget = data.draw(st.integers(0, want[3]), label="budget")
         got, want = fan_out.search(masks, pattern, max_len, exact_len, budget)
         assert got == want
-    assert None not in fan_out.folds
+    assert not fan_out.fell_back
 
 
 @pytest.mark.parametrize("spec, max_len, exact_len, nodes", TABLE_QUERIES)
@@ -88,7 +90,7 @@ def test_strided_budgets_on_table_queries(fan_out, spec, max_len, exact_len, nod
         got, want = fan_out.search(masks, pattern, max_len, exact_len, budget)
         assert got == want, budget
     assert want == (pure.NOTFOUND, None, None, nodes)
-    assert fan_out.folds and None not in fan_out.folds
+    assert fan_out.forked and not fan_out.fell_back
 
 
 def test_strided_budgets_on_a_find(fan_out):
@@ -100,7 +102,7 @@ def test_strided_budgets_on_a_find(fan_out):
         got, want = fan_out.search(host_masks(t), pattern, max_len, exact_len, budget)
         assert got == want, budget
     assert (got[0], got[3]) == (status, nodes)
-    assert None not in fan_out.folds
+    assert fan_out.forked and not fan_out.fell_back
 
 
 @pytest.mark.parametrize("t, spec, max_len, exact_len, status, nodes", WORKLOAD_QUERIES)
@@ -108,7 +110,7 @@ def test_workload_queries(fan_out, t, spec, max_len, exact_len, status, nodes):
     got, want = fan_out.search(host_masks(t), parse_pattern(spec), max_len, exact_len, 10**9)
     assert got == want
     assert (got[0], got[3]) == (status, nodes)
-    assert fan_out.folds == [got]
+    assert (fan_out.forked, fan_out.fell_back) == (1, 0)
 
 
 def test_no_child_is_left_behind(fan_out):
@@ -121,16 +123,18 @@ def test_no_child_is_left_behind(fan_out):
         assert got == want
         assert got[0] == status
         assert_no_child_left()
-    assert len(fan_out.folds) == 3 and None not in fan_out.folds
+    assert (fan_out.forked, fan_out.fell_back) == (3, 0)
 
 
 def test_a_dead_worker_gives_the_in_process_answer(fan_out, monkeypatch):
-    # The patched per-root search runs in the forked workers only.
-    monkeypatch.setattr(_kernel, "_search_root", lambda *args: os._exit(3))
+    # The patched per-root search dies in the forked workers only.
+    real = _kernel._search_root
+    monkeypatch.setattr(_kernel, "_search_root",
+                        lambda *args: os._exit(3) if _workers._in_worker else real(*args))
     t, spec, max_len, exact_len, status, nodes = WORKLOAD_QUERIES[2]
     got, want = fan_out.search(host_masks(t), parse_pattern(spec), max_len, exact_len, 10**9)
     assert got == want == (status, None, None, nodes)
-    assert fan_out.folds == [None]
+    assert (fan_out.forked, fan_out.fell_back) == (1, 1)
     assert_no_child_left()
 
 
@@ -149,7 +153,21 @@ def test_a_failed_fork_gives_the_in_process_answer(fan_out, monkeypatch):
     t, spec, max_len, exact_len, status, nodes = WORKLOAD_QUERIES[2]
     got, want = fan_out.search(host_masks(t), parse_pattern(spec), max_len, exact_len, 10**9)
     assert got == want == (status, None, None, nodes)
-    assert fan_out.folds == [None] and len(forks) == 2
+    assert (fan_out.forked, fan_out.fell_back) == (1, 1) and len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_dead_worker_under_ignored_sigchld(monkeypatch):
+    # With SIGCHLD ignored a dead child is reaped at once, so it can no
+    # longer be killed or waited for.
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = list(_workers.imap(lambda x: os._exit(3) if _workers._in_worker and x == 1 else x,
+                                 range(4), 2))
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert got == [0, 1, 2, 3]
     assert_no_child_left()
 
 
@@ -171,24 +189,54 @@ def search_blowup():
 
 
 def test_one_usable_core_forks_neither_the_search_nor_the_sweep(no_fork, monkeypatch):
-    pools = []
-    monkeypatch.setattr(_kernel, "_usable_cores", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda *args, **kwargs: pools.append(kwargs))
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 1)
     search_blowup()
     args = dict(k=3, trials=3, n=60, scale=Fraction(1, 12), seed=4)
     assert sweep("tt3", **args, workers=2) == sweep("tt3", **args)
-    assert pools == []
 
 
 def test_a_worker_does_not_fork_again(no_fork, monkeypatch):
-    monkeypatch.setattr(_kernel, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(_kernel, "_in_worker", True)
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_workers, "_in_worker", True)
     search_blowup()
 
 
+FORKS = []  # the os.fork calls of this process, while a test counts them
+
+
+def query_job(job):
+    """A sweep job that runs the blowup(5) refutation (11,175 nodes, past
+    the probe) and a three-item map.  Its row holds the forks its process
+    made meanwhile, the answer, its pid and the pids the map ran on."""
+    forks = len(FORKS)
+    t, spec, max_len, exact_len, status, nodes = WORKLOAD_QUERIES[2]
+    pattern = parse_pattern(spec)
+    got = _kernel.search_subdivision(host_masks(t), pattern.k, list(pattern.edges), max_len,
+                                     exact_len, 10**9)
+    pids = list(_workers.imap(lambda item: os.getpid(), range(3), 2))
+    return {"forks": len(FORKS) - forks, "got": got, "pid": os.getpid(), "pids": pids}, [], None
+
+
+def test_a_query_in_a_sweep_worker_does_not_fork_again(monkeypatch):
+    # Two sweep workers on two cores: a worker that forked for its own
+    # query would run four searching processes.
+    real_fork = os.fork
+    FORKS.clear()
+    monkeypatch.setattr(os, "fork", lambda: FORKS.append(1) or real_fork())
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(experiments, "_instance", query_job)
+    rows, _, _ = sweep("tt3", k=3, trials=2, n=60, scale=Fraction(1, 12), seed=4, workers=2)
+    assert len(FORKS) == 2
+    t, spec, max_len, exact_len, status, nodes = WORKLOAD_QUERIES[2]
+    for row in rows:
+        assert row["forks"] == 0
+        assert row["got"] == (status, None, None, nodes)
+        assert row["pid"] != os.getpid() and row["pids"] == [row["pid"]] * 3
+    assert_no_child_left()
+
+
 def test_a_second_thread_keeps_the_search_in_process(no_fork, monkeypatch):
-    monkeypatch.setattr(_kernel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -200,7 +248,7 @@ def test_a_second_thread_keeps_the_search_in_process(no_fork, monkeypatch):
 
 
 def test_small_queries_and_k0_stay_in_process(no_fork, monkeypatch):
-    monkeypatch.setattr(_kernel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_workers, "_usable_cores", lambda: 2)
     masks = host_masks(random_tournament(6, 1))
     assert _kernel.search_subdivision(masks, 0, [], 2, None, 10) == (pure.FOUND, (), [], 0)
     monkeypatch.setattr(_kernel, "_PROBE_NODES", 1 << 12)
