@@ -9,12 +9,17 @@ integer bit arithmetic.
 A subtournament is a universe mask over its host; the finders restrict rows
 with ``& universe`` and report host vertices.  ``universe_degrees`` lists a
 universe's vertices with their out-degrees inside it in one pass, for every
-finder stage that ranks or pigeonholes by degree.  ``induced`` builds a
-standalone, renumbered copy.  A ``Cut`` holds its three vertex sets as host
-bitmasks too.
+finder stage that ranks or pigeonholes by degree.  The host keeps the last
+universe's lists, so consecutive stages on one universe share one count;
+the lists are shared, and callers must treat them as read-only.
+``induced`` builds a standalone, renumbered copy.  A ``Cut`` holds its three
+vertex sets as host bitmasks too.
 
 One bit transpose, ``_transpose``, gives a host's columns (its in-rows) to
-random generation and to the parser's orientation check.
+random generation and to the parser's orientation check.  It lays the rows
+out as 8x8-bit lanes, one byte per row, transposes every lane with shifts and
+masks on chunk-sized integers, and then column j is every (8 * ceil(n/8))-th
+byte from byte j.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from operator import itemgetter
+from functools import lru_cache
+from itertools import compress, count, islice, repeat
+from operator import itemgetter, lshift
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 __all__ = [
@@ -68,6 +74,14 @@ _SWAR_STEPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x0000000
 _CHUNK_LANES = 4096  # lanes per SWAR pass, so no temporary is matrix-sized
 
 
+@lru_cache(maxsize=1)
+def _swar_masks(lanes: int) -> Tuple[Tuple[int, int], ...]:
+    """The SWAR steps with each mask repeated over ``lanes`` lanes, kept for
+    the last lane count: one host size after another reuses them."""
+    return tuple((shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
+                 for shift, mask in _SWAR_STEPS)
+
+
 def _transpose(rows: Sequence[int], n: int) -> List[int]:
     """Columns of the n x n bit matrix with the given rows: bit i of column
     j is bit j of row i.
@@ -76,17 +90,18 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
     lane (g, b) holds byte b of rows 8g..8g+7, one byte each, so it is the
     8x8 block at row group g and column byte b.  Transposing every lane
     makes byte c of that lane rows 8g..8g+7 of column 8b+c, so column j is
-    every (8B)-th byte from byte j."""
+    every (8B)-th byte from byte j; one C-level map cuts and converts the
+    columns."""
     width = (n + 7) // 8
     stride = 8 * width
-    pieces = [row.to_bytes(width, "little") for row in rows] + [bytes(width)] * (stride - n)
+    pieces = list(map(int.to_bytes, rows, repeat(width), repeat("little")))
+    pieces += [bytes(width)] * (stride - n)
     buf = bytearray(stride * width)
     for k in range(8):
         buf[k::8] = b"".join(pieces[k::8])
     del pieces
     lanes = min(width * width, _CHUNK_LANES)
-    steps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * lanes, "little"))
-             for shift, mask in _SWAR_STEPS]
+    steps = _swar_masks(lanes)
     size = 8 * lanes
     for lo in range(0, len(buf), size):
         chunk = memoryview(buf)[lo:lo + size]
@@ -95,18 +110,21 @@ def _transpose(rows: Sequence[int], n: int) -> List[int]:
             t = (x ^ (x >> shift)) & mask
             x ^= t ^ (t << shift)
         chunk[:] = x.to_bytes(len(chunk), "little")
-    return [int.from_bytes(buf[j::stride], "little") for j in range(n)]
+    columns = map(buf.__getitem__, map(slice, range(n), repeat(None), repeat(stride)))
+    return list(map(int.from_bytes, columns, repeat("little")))
 
 
 class Tournament:
     """Immutable tournament on n vertices."""
 
-    __slots__ = ("n", "_out", "_hash")
+    __slots__ = ("n", "_out", "_hash", "_degrees")
 
     def __init__(self, out_masks: Sequence[int]):
         self.n = len(out_masks)
         self._out = tuple(out_masks)
         self._hash: Optional[str] = None  # tournament_hash, once known
+        # universe_degrees' last answer: (universe, vertices, degrees)
+        self._degrees: Optional[Tuple[int, List[int], List[int]]] = None
 
     @property
     def full_mask(self) -> int:
@@ -144,13 +162,13 @@ def random_tournament(n: int, seed: int) -> Tournament:
     Row i draws the orientation of its pairs with later vertices as one
     ``getrandbits(n-1-i)``.  Column j of these upper rows holds the earlier
     vertices that beat j, so one ``_transpose`` gives every row the pairs it
-    lost."""
+    lost, and one pass joins each row's two halves."""
     if n < 1:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
-    upper = [rng.getrandbits(n - 1 - i) << (i + 1) for i in range(n - 1)] + [0]
+    upper = list(map(lshift, map(rng.getrandbits, range(n - 1, 0, -1)), range(1, n))) + [0]
     beaten_by = _transpose(upper, n)
-    return Tournament([u | ((1 << j) - 1) ^ c for j, (u, c) in enumerate(zip(upper, beaten_by))])
+    return Tournament([u | ((1 << j) - 1) ^ c for j, u, c in zip(count(), upper, beaten_by)])
 
 
 def transitive_tournament(n: int) -> Tournament:
@@ -180,15 +198,11 @@ def blowup_cyclic_triangle(class_size: int) -> Tournament:
     if class_size < 1:
         raise ValueError("class_size must be positive")
     s = class_size
-    n = 3 * s
-    out = []
-    for v in range(n):
-        c, p = divmod(v, s)
-        within = ((1 << (s - 1 - p)) - 1) << (v + 1)  # the class's later vertices
-        nxt = (c + 1) % 3
-        cross = ((1 << s) - 1) << (nxt * s)
-        out.append(within | cross)
-    return Tournament(out)
+    ones = (1 << s) - 1
+    # Row v: the next class, and its own class's vertices after v.
+    return Tournament([nxt | (ones << lo) >> (v + 1) << (v + 1)
+                       for lo, nxt in ((0, ones << s), (s, ones << 2 * s), (2 * s, ones))
+                       for v in range(lo, lo + s)])
 
 
 def generate(kind: str, n: int, seed: Optional[int] = None) -> Tournament:
@@ -218,13 +232,22 @@ def universe_degrees(t: Tournament, uni: int) -> Tuple[List[int], List[int]]:
     """The vertices of ``uni`` in ascending order, and each one's out-degree
     inside ``uni``, as two parallel lists.
 
-    Character i of the reversed ``bin(uni)`` is bit i, so one C-level
-    ``translate`` to 0/1 bytes and one ``compress`` list the vertices with
-    no per-bit big-int arithmetic; one comprehension over the rows counts
-    the degrees."""
+    The host keeps its last answer, so stages that rank the same universe
+    one after another share one count.  The lists are that shared answer:
+    callers read them and must not mutate them."""
+    memo = t._degrees
+    if memo is None or memo[0] != uni:
+        memo = t._degrees = (uni, *_count_degrees(t._out, uni))
+    return memo[1], memo[2]
+
+
+def _count_degrees(rows: Sequence[int], uni: int) -> Tuple[List[int], List[int]]:
+    """``universe_degrees`` without the memo.  Character i of the reversed
+    ``bin(uni)`` is bit i, so one C-level ``translate`` to 0/1 bytes and one
+    ``compress`` list the vertices with no per-bit big-int arithmetic; one
+    comprehension over the rows counts the degrees."""
     bits = bin(uni)[:1:-1].encode().translate(_BIT_BYTES)
     vertices = list(compress(range(len(bits)), bits))
-    rows = t._out
     return vertices, [(rows[v] & uni).bit_count() for v in vertices]
 
 

@@ -67,16 +67,20 @@ def _stack(block: Sequence[int], layers: int, flip: float, reach: int, seed: int
     Each row starts as its block row plus every lower layer.  Only the pairs
     within ``reach`` draw from the rng, one ``random()`` each, row by row and
     left to right, and only the drawn flips are then reversed."""
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
     width = len(block)
     n = width * layers
     full = (1 << n) - 1
-    out = [b << lo | full >> (lo + width) << (lo + width) for lo in range(0, n, width) for b in block]
+    out = [b << lo | below for lo in range(0, n, width)
+           for below in (full >> (lo + width) << (lo + width),) for b in block]
     band = max(reach, 0) * width
     for lo in range(width, n, width):  # lo: the first vertex below the layer
-        hi = min(n, lo + band)
-        flips = [(i, j) for i in range(lo - width, lo) for j in range(lo, hi) if rng.random() < flip]
-        for i, j in flips:
+        span = min(n, lo + band) - lo
+        # Pair (lo - width + x // span, lo + x % span) draws x-th in its layer.
+        for x in [x for x in range(width * span) if rand() < flip]:
+            i, j = divmod(x, span)
+            i += lo - width
+            j += lo
             out[i] ^= 1 << j
             out[j] |= 1 << i
     return Tournament(out)

@@ -557,7 +557,7 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
         return _onesub_base(t, uni, k)
 
     decomp = ball_decomposition(build_aux_graph(t, k, params, uni))
-    verts = list(bits_of(uni))
+    verts = universe_degrees(t, uni)[0]  # the aux graph's listing, from the memo
     comps = [mask_of(verts[v] for v in c) for c in decomp.components]
     part = partition_components(t, comps, uni)
 
