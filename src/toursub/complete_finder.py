@@ -98,7 +98,7 @@ def find_balanced_set(
     width = params.window_width
     vertices, out_degrees = universe_degrees(t, uni)
     in_degrees = [size - 1 - d for d in out_degrees]
-    reach = sum(d >= floor for d in in_degrees)
+    reach = sum(map(floor.__le__, in_degrees))
     if reach < k:
         raise TooSmall(f"only {reach} vertices reach the in-degree floor",
                        stage="balanced-set", universe=size)

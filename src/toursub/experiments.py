@@ -14,7 +14,7 @@ import json
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .complete_finder import find_complete_subdivision_ex
 from .core import (
@@ -34,6 +34,7 @@ __all__ = [
     "stacked_triangles",
     "stacked_clusters",
     "build_host",
+    "SEEDLESS_KINDS",
     "SWEEP_KINDS",
     "VERIFY_CAPS",
     "SWEEP_COLUMNS",
@@ -122,6 +123,10 @@ def build_host(kind: str, n: int, seed: int) -> Tournament:
     raise ValueError(f"unknown sweep host kind {kind!r}")
 
 
+# The kinds whose hosts ignore the seed: every trial of such a kind builds
+# the same host, so a sweep computes only its first one (see ``sweep``).
+SEEDLESS_KINDS = frozenset({"rotational", "blowup"})
+
 SWEEP_KINDS = (
     "random",
     "triangles_sparse",
@@ -157,9 +162,9 @@ COMPLETE_COLUMNS = TT_COLUMNS + ["chain_stages", "max_cut"]
 SWEEP_COLUMNS = {"complete": COMPLETE_COLUMNS, "tt3": TT_COLUMNS, "onesub": TT_COLUMNS}
 
 
-def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
-    """One sweep trial: (csv row, (index, certified cut) pairs of the cut
-    chain, soundness violation or None)."""
+def _instance(args) -> Tuple[dict, Sequence[Cut], Tuple[str, ...]]:
+    """One sweep trial: (csv row, certified cuts of the cut chain, the first
+    three soundness violations, empty when the witness verifies)."""
     finder, index, kind, n, k, scale_str, base_seed = args
     seed = instance_seed(base_seed, index)
     host = build_host(kind, n, seed)
@@ -169,14 +174,13 @@ def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
         "scale": scale_str, "outcome": "", "stage": "", "verify_ok": "",
         "l1": "", "l2": "", "span": "",
     }
-    chains: List[Tuple[int, Cut]] = []
+    chain: Sequence[Cut] = ()
     try:
         # Finders are looked up as module globals at call time, so
-        # instrumentation that rebinds them sees every call.
+        # instrumentation that rebinds them sees every computed trial.
         if finder == "complete":
             row["chain_stages"] = row["max_cut"] = 0  # also on an error row
             outcome, chain = find_complete_subdivision_ex(host, k, params)
-            chains = [(index, c) for c in chain]
             row["chain_stages"] = len(chain)
             row["max_cut"] = max((c.cut.bit_count() for c in chain), default=0)
         elif finder == "tt3":
@@ -186,18 +190,18 @@ def _instance(args) -> Tuple[dict, List[Tuple[int, Cut]], Optional[str]]:
     except ToursubError as exc:
         row["outcome"] = "error"
         row["stage"] = type(exc).__name__
-        return row, chains, None
+        return row, chain, ()
     if isinstance(outcome, FailureTrace):
         row["outcome"] = "failure"
         row["stage"] = outcome.stage
-        return row, chains, None
+        return row, chain, ()
     report = verify(host, outcome, **VERIFY_CAPS[finder])
     row["outcome"] = "witness"
     row["verify_ok"] = int(report.valid)
     row["l1"] = report.l1
     row["l2"] = report.l2
     row["span"] = report.span
-    return row, chains, (None if report.valid else f"instance {index}: {report.violations[:3]}")
+    return row, chain, report.violations[:3]
 
 
 def sweep(
@@ -213,23 +217,33 @@ def sweep(
 
     Returns (csv rows, (instance, certified cut) pairs of every cut chain,
     soundness violations); the violations list must come back empty.  Only
-    the complete finder builds cut chains.
+    the complete finder builds cut chains.  A trial of a seedless kind is
+    computed once per sweep, at the kind's first index, and relabelled with
+    each later index and its instance seed.
     """
     if finder not in SWEEP_COLUMNS:
         raise ValueError(f"unknown sweep finder {finder!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     kinds = SWEEP_KINDS if finder == "complete" else TT_KINDS
-    jobs = [
-        (finder, i, kinds[i % len(kinds)], n, k, str(scale), seed)
-        for i in range(trials)
-    ]
+    kind_of = [kinds[i % len(kinds)] for i in range(trials)]
+    first = {kind: kinds.index(kind) for kind in SEEDLESS_KINDS.intersection(kinds)}
+    source = [first.get(kind, i) for i, kind in enumerate(kind_of)]  # the trial each row copies
+    computed = [i for i, s in enumerate(source) if s == i]
+    jobs = [(finder, i, kind_of[i], n, k, str(scale), seed) for i in computed]
     from . import _workers  # loaded by a sweep only, not at every CLI start
 
-    results = list(_workers.imap(_instance, jobs, workers))  # in job order
-    rows = [r for r, _, _ in results]
-    chains = [c for _, cs, _ in results for c in cs]
-    bad = [b for _, _, b in results if b]
+    # list() runs the map to its end, where it reaps its workers.
+    results = dict(zip(computed, list(_workers.imap(_instance, jobs, workers))))
+    rows, chains, bad = [], [], []
+    for i, s in enumerate(source):
+        row, chain, violations = results[s]
+        if s != i:
+            row = dict(row, instance=i, seed=instance_seed(seed, i))
+        rows.append(row)
+        chains += [(i, c) for c in chain]
+        if violations:
+            bad.append(f"instance {i}: {violations}")
     return rows, chains, bad
 
 

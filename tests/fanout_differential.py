@@ -7,11 +7,11 @@ installed.  It forces every query through the fan-out (no in-process probe,
 two workers) and draws seeded random hosts of 0-10 vertices, patterns,
 length caps and a budget inside each search tree.  It then draws a tenth as
 many queries while a second thread is alive, when no query may fork.  It
-also compares the CSV body of one two-worker sweep with the serial one.
-It exits 1 on an answer that differs from ``pure.search_subdivision``, on
-a sweep body that differs, on a fork beside a second thread, on any
-warning (Python 3.12 warns when a threaded process forks) and on a child
-process left behind.
+also compares the CSV bodies of two-worker complete, tt3 and onesub sweeps
+with the serial ones.  It exits 1 on an answer that differs from
+``pure.search_subdivision``, on a sweep body that differs, on a fork beside
+a second thread, on any warning (Python 3.12 warns when a threaded process
+forks) and on a child process left behind.
 """
 
 import argparse
@@ -68,13 +68,23 @@ def first_difference(rng, queries):
     return None
 
 
+SWEEPS = {
+    "complete": dict(k=3, trials=6, n=120, scale=Fraction(1, 96), seed=9),
+    # 13 trials repeat each seedless kind, whose trial is computed once.
+    "tt3": dict(k=3, trials=13, n=90, scale=Fraction(1, 12), seed=4),
+    "onesub": dict(k=3, trials=13, n=170, scale=Fraction(1, 12), seed=2),
+}
+
+
 def sweep_difference():
-    """The CSV bodies of one complete-finder sweep on one and two workers,
-    if they differ, else None."""
-    config = dict(k=3, trials=6, n=120, scale=Fraction(1, 96), seed=9)
-    serial, forked = (csv_body(sweep("complete", **config, workers=w)[0], SWEEP_COLUMNS["complete"])
-                      for w in (1, 2))
-    return None if forked == serial else f"two-worker sweep body differs:\n{forked}\n!=\n{serial}"
+    """The CSV bodies of the first sweep in ``SWEEPS`` whose body differs
+    on one and two workers, else None."""
+    for finder, config in SWEEPS.items():
+        serial, forked = (csv_body(sweep(finder, **config, workers=w)[0], SWEEP_COLUMNS[finder])
+                          for w in (1, 2))
+        if forked != serial:
+            return f"two-worker {finder} sweep body differs:\n{forked}\n!=\n{serial}"
+    return None
 
 
 def main(argv=None):
