@@ -14,13 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
-from .complete_finder import (
-    find_complete_subdivision,
-    find_digraph_subdivision,
-)
 from .core import generate, parse_tournament, tournament_hash, write_tournament
-from .errors import FailureTrace, ToursubError
-from .experiments import SCAN_DK_COLUMNS, SWEEP_COLUMNS, VERIFY_CAPS, sweep, write_csv
+from .errors import ToursubError
+from .experiments import SCAN_DK_COLUMNS, SWEEP_COLUMNS, run_finder, sweep, write_csv
 from .oracle import DEFAULT_BUDGET, OracleQuery, oracle_subdivision, scan_d_lower
 from .params import FinderParams
 from .subdivision import (
@@ -29,7 +25,6 @@ from .subdivision import (
     verify,
     witness_from_json,
 )
-from .transitive_finder import find_one_subdivision, find_tt_len3
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,23 +97,12 @@ def cmd_verify(args) -> int:
 
 def cmd_find(args) -> int:
     host = _read_tournament(args.input)
-    if args.finder == "digraph":
-        pattern = parse_pattern(args.pattern)
-        params = FinderParams(k=pattern.k, scale=args.scale)
-        outcome = find_digraph_subdivision(host, pattern, params)
-    else:
-        params = FinderParams(k=args.k, scale=args.scale)
-        if args.finder == "complete":
-            outcome = find_complete_subdivision(host, args.k, params)
-        elif args.finder == "tt3":
-            outcome = find_tt_len3(host, args.k, params)
-        else:
-            outcome = find_one_subdivision(host, args.k, params)
-
-    if isinstance(outcome, FailureTrace):
+    pattern = parse_pattern(args.pattern) if args.finder == "digraph" else None
+    params = FinderParams(k=args.k if pattern is None else pattern.k, scale=args.scale)
+    outcome, _, report = run_finder(args.finder, host, params, pattern)
+    if report is None:
         print(json.dumps({"failure": outcome.to_json()}, indent=2))
         return EXIT_NEGATIVE
-    report = verify(host, outcome, **VERIFY_CAPS[args.finder])
     if not report.valid:
         print(f"internal error: finder produced an invalid witness: {report.violations[:5]}",
               file=sys.stderr)

@@ -3,7 +3,8 @@
 Reproducibility contract: all randomness flows from one base seed through
 ``instance_seed`` (a splitmix64 step keyed by instance index), so sweeps are
 byte-identical for a fixed config regardless of worker count.  CSV bodies are
-deterministic; the ``# generated`` header line is the only timestamped field.
+deterministic except for scan-dk's ``millis`` column, which is wall time; in
+the header only the ``# generated`` line is.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import json
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .complete_finder import find_complete_subdivision_ex
+from .complete_finder import find_complete_subdivision_ex, find_digraph_subdivision_ex
 from .core import (
     Cut,
     Tournament,
@@ -26,7 +28,7 @@ from .core import (
 )
 from .errors import FailureTrace, ToursubError
 from .params import FinderParams
-from .subdivision import verify
+from .subdivision import PatternDigraph, Subdivision, VerifyReport, verify
 from .transitive_finder import find_one_subdivision, find_tt_len3
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "SEEDLESS_KINDS",
     "SWEEP_KINDS",
     "VERIFY_CAPS",
+    "run_finder",
     "SWEEP_COLUMNS",
     "sweep",
     "rows_to_csv",
@@ -152,6 +155,32 @@ VERIFY_CAPS = {
     "onesub": {"max_len": 2, "exact_len": 2},
 }
 
+
+def run_finder(
+    finder: str, host: Tournament, params: FinderParams, pattern: Optional[PatternDigraph] = None,
+) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...], Optional[VerifyReport]]:
+    """Run the complete, digraph, tt3 or onesub finder on ``host`` at
+    ``params.k`` (the digraph finder on ``pattern``).  Returns (outcome,
+    certified cut chain, empty for tt3 and onesub, ``verify`` report at the
+    finder's ``VERIFY_CAPS``, None for a ``FailureTrace``)."""
+    # Finders and verify are looked up as module globals at call time, so
+    # instrumentation that rebinds them sees every run.
+    chain: Tuple[Cut, ...] = ()
+    if finder == "complete":
+        outcome, chain = find_complete_subdivision_ex(host, params.k, params)
+    elif finder == "digraph":
+        outcome, chain = find_digraph_subdivision_ex(host, pattern, params)
+    elif finder == "tt3":
+        outcome = find_tt_len3(host, params.k, params)
+    elif finder == "onesub":
+        outcome = find_one_subdivision(host, params.k, params)
+    else:
+        raise ValueError(f"unknown finder {finder!r}")
+    if isinstance(outcome, FailureTrace):
+        return outcome, chain, None
+    return outcome, chain, verify(host, outcome, **VERIFY_CAPS[finder])
+
+
 TT_COLUMNS = [
     "instance", "kind", "n", "seed", "k", "scale", "outcome", "stage",
     "verify_ok", "l1", "l2", "span",
@@ -162,40 +191,34 @@ COMPLETE_COLUMNS = TT_COLUMNS + ["chain_stages", "max_cut"]
 SWEEP_COLUMNS = {"complete": COMPLETE_COLUMNS, "tt3": TT_COLUMNS, "onesub": TT_COLUMNS}
 
 
-def _instance(args) -> Tuple[dict, Sequence[Cut], Tuple[str, ...]]:
-    """One sweep trial: (csv row, certified cuts of the cut chain, the first
-    three soundness violations, empty when the witness verifies)."""
-    finder, index, kind, n, k, scale_str, base_seed = args
+def _instance(finder: str, params: FinderParams, scale: str, n: int, base_seed: int,
+              trial: Tuple[int, str]) -> Tuple[dict, Sequence[Cut], Tuple[str, ...]]:
+    """One sweep trial, ``trial`` = (index, host kind): (csv row, certified
+    cuts of the cut chain, the first three soundness violations, empty when
+    the witness verifies).  ``scale`` is the row's scale text."""
+    index, kind = trial
     seed = instance_seed(base_seed, index)
     host = build_host(kind, n, seed)
-    params = FinderParams(k=k, scale=Fraction(scale_str))
     row = {
-        "instance": index, "kind": kind, "n": host.n, "seed": seed, "k": k,
-        "scale": scale_str, "outcome": "", "stage": "", "verify_ok": "",
+        "instance": index, "kind": kind, "n": host.n, "seed": seed, "k": params.k,
+        "scale": scale, "outcome": "", "stage": "", "verify_ok": "",
         "l1": "", "l2": "", "span": "",
     }
-    chain: Sequence[Cut] = ()
+    if finder == "complete":
+        row["chain_stages"] = row["max_cut"] = 0  # also on an error row
     try:
-        # Finders are looked up as module globals at call time, so
-        # instrumentation that rebinds them sees every computed trial.
-        if finder == "complete":
-            row["chain_stages"] = row["max_cut"] = 0  # also on an error row
-            outcome, chain = find_complete_subdivision_ex(host, k, params)
-            row["chain_stages"] = len(chain)
-            row["max_cut"] = max((c.cut.bit_count() for c in chain), default=0)
-        elif finder == "tt3":
-            outcome = find_tt_len3(host, k, params)
-        else:
-            outcome = find_one_subdivision(host, k, params)
+        outcome, chain, report = run_finder(finder, host, params)
     except ToursubError as exc:
         row["outcome"] = "error"
         row["stage"] = type(exc).__name__
-        return row, chain, ()
-    if isinstance(outcome, FailureTrace):
+        return row, (), ()
+    if chain:
+        row["chain_stages"] = len(chain)
+        row["max_cut"] = max(c.cut.bit_count() for c in chain)
+    if report is None:
         row["outcome"] = "failure"
         row["stage"] = outcome.stage
         return row, chain, ()
-    report = verify(host, outcome, **VERIFY_CAPS[finder])
     row["outcome"] = "witness"
     row["verify_ok"] = int(report.valid)
     row["l1"] = report.l1
@@ -230,11 +253,13 @@ def sweep(
     first = {kind: kinds.index(kind) for kind in SEEDLESS_KINDS.intersection(kinds)}
     source = [first.get(kind, i) for i, kind in enumerate(kind_of)]  # the trial each row copies
     computed = [i for i, s in enumerate(source) if s == i]
-    jobs = [(finder, i, kind_of[i], n, k, str(scale), seed) for i in computed]
+    # Fraction(str(scale)) reads a float scale as its shortest decimal.
+    trial = partial(_instance, finder, FinderParams(k, Fraction(str(scale))), str(scale), n, seed)
+    jobs = [(i, kind_of[i]) for i in computed]
     from . import _workers  # loaded by a sweep only, not at every CLI start
 
     # list() runs the map to its end, where it reaps its workers.
-    results = dict(zip(computed, list(_workers.imap(_instance, jobs, workers))))
+    results = dict(zip(computed, list(_workers.imap(trial, jobs, workers))))
     rows, chains, bad = [], [], []
     for i, s in enumerate(source):
         row, chain, violations = results[s]

@@ -40,7 +40,6 @@ __all__ = [
     "find_nearly_regular",
     "find_nearly_regular_k",
     "find_tt_len3",
-    "Graph",
     "build_aux_graph",
     "BallDecomposition",
     "ball_decomposition",
@@ -244,31 +243,16 @@ def _join(first: Subdivision, second: Subdivision,
 # auxiliary graph and the ball separator
 
 
-class Graph:
-    """Small undirected graph with adjacency lists (local 0..n-1 ids)."""
-
-    def __init__(self, n: int, edges: Sequence[Tuple[int, int]] = ()):
-        self.n = n
-        self.adj: List[List[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("no self-loops")
-        self.adj[u].append(v)
-        self.adj[v].append(u)
-
-
 def build_aux_graph(
     t: Tournament,
     k: int,
     params: Optional[FinderParams] = None,
     universe: Optional[int] = None,
-) -> Graph:
-    """Join x to y when their out-neighbourhood symmetric difference inside
-    ``universe`` (default: all of ``t``) is below the (scaled) 2k^2
-    threshold.  Graph vertex i is the universe's i-th lowest vertex.
+) -> List[List[int]]:
+    """Adjacency lists of the undirected graph that joins x to y when their
+    out-neighbourhood symmetric difference inside ``universe`` (default: all
+    of ``t``) is below the (scaled) 2k^2 threshold.  Graph vertex i is the
+    universe's i-th lowest vertex.
 
     Only pairs that can pass are compared.  |N+(x) ^ N+(y)| is at least the
     out-degree gap g = |d+(x) - d+(y)|, has the parity of g, and is at least
@@ -284,8 +268,7 @@ def build_aux_graph(
     uni = t.full_mask if universe is None else universe
     vertices, degrees = universe_degrees(t, uni)
     rows = [t.out_mask(v) & uni for v in vertices]
-    g = Graph(len(rows))
-    adj = g.adj
+    adj: List[List[int]] = [[] for _ in rows]
     buckets: Dict[int, List[int]] = {}
     for v, d in enumerate(degrees):
         buckets.setdefault(d, []).append(v)
@@ -302,7 +285,7 @@ def build_aux_graph(
                         adj[y].append(x)
     for nbrs in adj:
         nbrs.sort()
-    return g
+    return adj
 
 
 @dataclass(frozen=True)
@@ -312,8 +295,9 @@ class BallDecomposition:
     bound: float
 
 
-def ball_decomposition(g: Graph) -> BallDecomposition:
-    """Remove sparse BFS levels until every component has at most
+def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
+    """Remove sparse BFS levels of the undirected graph with adjacency lists
+    ``adj`` (vertices 0..n-1) until every component has at most
     n / (5 ln n) vertices; the removed set obeys the same bound.
 
     Requires every explored ball interior to stay below the bound (checked
@@ -325,7 +309,7 @@ def ball_decomposition(g: Graph) -> BallDecomposition:
     vertex is explored a bounded number of times and million-vertex sparse
     graphs decompose quickly.
     """
-    n = g.n
+    n = len(adj)
     if n < 2:
         return BallDecomposition(frozenset(), (frozenset(range(n)),) if n else (), float(n))
     bound = n / (5.0 * math.log(n))
@@ -352,7 +336,7 @@ def ball_decomposition(g: Graph) -> BallDecomposition:
                 raise BallTooLarge(start, r - 1, len(ball), bound)
             nxt = []
             for v in level:
-                for w in g.adj[v]:
+                for w in adj[v]:
                     if state[w] == ALIVE and w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -378,7 +362,7 @@ def ball_decomposition(g: Graph) -> BallDecomposition:
             state[v] = DONE
         components.append(frozenset(ball))
         for v in nxt:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if state[w] == ALIVE:
                     pending.append(w)
     if len(removed) > bound:

@@ -4,6 +4,15 @@ from toursub.core import mask_of
 from toursub.matching import hall_half_condition
 
 
+def adjacency(n, edges=()):
+    """Adjacency lists of the undirected graph on 0..n-1 with ``edges``."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def assert_certified_cut(t, cut):
     """The split half-matching of a certified cut proves that U expands into
     S: its halves are disjoint and cover U, each half is one-to-one, every

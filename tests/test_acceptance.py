@@ -10,7 +10,7 @@ import random as _random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_certified_cut
+from conftest import adjacency, assert_certified_cut
 
 from toursub.complete_finder import find_complete_subdivision
 from toursub.core import (
@@ -35,7 +35,7 @@ from toursub.subdivision import (
     pattern_transitive,
     verify,
 )
-from toursub.transitive_finder import Graph, ball_decomposition, find_nearly_regular
+from toursub.transitive_finder import ball_decomposition, find_nearly_regular
 
 
 def _report(num, text):
@@ -244,7 +244,7 @@ def _sparse_graph(seed):
     n = rng.randrange(1200, 3200)
     bound = n / (5 * math.log(n))
     cap = max(3, int(0.9 * bound))
-    g = Graph(n)
+    edges = []
     vertices = list(range(n))
     rng.shuffle(vertices)
     i = 0
@@ -258,14 +258,14 @@ def _sparse_graph(seed):
         if shape == "clique":
             for a in range(len(chunk)):
                 for b in range(a + 1, len(chunk)):
-                    g.add_edge(chunk[a], chunk[b])
+                    edges.append((chunk[a], chunk[b]))
         elif shape == "star":
             for b in chunk[1:]:
-                g.add_edge(chunk[0], b)
+                edges.append((chunk[0], b))
         else:
             for a, b in zip(chunk, chunk[1:]):
-                g.add_edge(a, b)
-    return g
+                edges.append((a, b))
+    return adjacency(n, edges)
 
 
 def test_acceptance_8_ball_separator_bounds():
@@ -275,24 +275,24 @@ def test_acceptance_8_ball_separator_bounds():
     for i in range(198):
         g = _sparse_graph(instance_seed(1008, i))
         out = ball_decomposition(g)
-        bound = g.n / (5 * math.log(g.n))
+        bound = len(g) / (5 * math.log(len(g)))
         assert len(out.removed) <= bound
         assert all(len(c) <= bound for c in out.components)
-        assert len(out.removed) + sum(len(c) for c in out.components) == g.n
+        assert len(out.removed) + sum(len(c) for c in out.components) == len(g)
         removals += len(out.removed)
     # two connected giants exercise sustained level removal
     for maker in (
-        lambda: Graph(300_000, [(i, i + 1) for i in range(299_999)]),
-        lambda: Graph(300_000, [(i, (i + 1) % 300_000) for i in range(300_000)]),
+        lambda: adjacency(300_000, [(i, i + 1) for i in range(299_999)]),
+        lambda: adjacency(300_000, [(i, (i + 1) % 300_000) for i in range(300_000)]),
     ):
         g = maker()
         out = ball_decomposition(g)
-        bound = g.n / (5 * math.log(g.n))
+        bound = len(g) / (5 * math.log(len(g)))
         assert 0 < len(out.removed) <= bound
         assert all(len(c) <= bound for c in out.components)
         removals += len(out.removed)
     for size in (60, 100):
-        g = Graph(size, [(i, j) for i in range(size) for j in range(i + 1, size)])
+        g = adjacency(size, [(i, j) for i in range(size) for j in range(i + 1, size)])
         with pytest.raises(BallTooLarge):
             ball_decomposition(g)
     _report(8, f"200 qualifying graphs decomposed ({removals} vertices removed in total); "

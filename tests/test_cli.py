@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toursub import experiments
 from toursub.cli import main
 from toursub.core import parse_tournament, rotational_tournament
 
@@ -136,6 +137,44 @@ def test_find_digraph_pattern(tmp_path):
                 "--pattern", "edges:0>1", "--scale", "1/2",
                 "--out", str(wit)]) == 0
     assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 0
+
+
+FIND_ARGS = {
+    "complete": ["--k", "3", "--scale", "1/96"],
+    "digraph": ["--pattern", "complete:3", "--scale", "1/96"],
+    "tt3": ["--k", "3", "--scale", "1/12"],
+    "onesub": ["--k", "3", "--scale", "1/12"],
+}
+SHARED_FINDERS = {
+    "complete": "find_complete_subdivision_ex",
+    "digraph": "find_digraph_subdivision_ex",
+    "tt3": "find_tt_len3",
+    "onesub": "find_one_subdivision",
+}
+
+
+def test_find_runs_each_finder_once_through_the_shared_run(tmp_path, monkeypatch):
+    # ``find`` and the sweeps share ``experiments.run_finder``: a finder
+    # rebound there is the one ``find`` calls, once, and the witness bytes
+    # and exit code stay those of the unpatched run.
+    host = tmp_path / "t.txt"
+    run(["gen", "--kind", "random", "--n", "60", "--seed", "3", "--out", str(host)])
+
+    def find(finder, out):
+        code = run(["find", finder, "--input", str(host), *FIND_ARGS[finder], "--out", str(out)])
+        return code, out.read_bytes()
+
+    unpatched = {finder: find(finder, tmp_path / f"{finder}.json") for finder in FIND_ARGS}
+    assert all(code == 0 for code, _ in unpatched.values())
+    calls = []
+    for name in SHARED_FINDERS.values():
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for finder in FIND_ARGS:
+        calls.clear()
+        assert find(finder, tmp_path / f"{finder}-patched.json") == unpatched[finder]
+        assert calls == [SHARED_FINDERS[finder]]
 
 
 SWEEP_ARGS = {

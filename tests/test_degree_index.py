@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import adjacency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,6 @@ from toursub.params import FinderParams
 from toursub.transitive_finder import (
     DEGREE_WINDOW_FACTOR,
     RATIO_BOUND,
-    Graph,
     NearlyRegularSet,
     _ratio_set,
     build_aux_graph,
@@ -69,13 +69,9 @@ def reference_ratio_set(t, uni):
 
 def reference_aux_graph(t, k, params):
     threshold = math.ceil(params.aux_threshold)
-    g = Graph(t.n)
     rows = [t.out_mask(v) for v in t.vertices()]
-    for x in range(t.n):
-        for y in range(x + 1, t.n):
-            if (rows[x] ^ rows[y]).bit_count() < threshold:
-                g.add_edge(x, y)
-    return g
+    return adjacency(t.n, [(x, y) for x in range(t.n) for y in range(x + 1, t.n)
+                           if (rows[x] ^ rows[y]).bit_count() < threshold])
 
 
 def reference_chain(t, universe=None):
@@ -318,7 +314,7 @@ def test_ratio_set_on_every_transitive_size():
 @settings(max_examples=300, deadline=None)
 def test_aux_graph_matches_per_pair_reference(t, k_params):
     k, params = k_params
-    assert build_aux_graph(t, k, params).adj == reference_aux_graph(t, k, params).adj
+    assert build_aux_graph(t, k, params) == reference_aux_graph(t, k, params)
 
 
 @pytest.mark.parametrize("kind", HOST_KINDS)
@@ -332,17 +328,17 @@ def test_aux_graph_at_the_parity_boundary(kind, threshold):
     for n, seed in [(61, 1), (200, 2)]:
         t = make_host(kind, n, seed)
         g = build_aux_graph(t, k, params)
-        assert g.adj == reference_aux_graph(t, k, params).adj
+        assert g == reference_aux_graph(t, k, params)
         if math.ceil(threshold) == 2:
             # |N+x ^ N+y| = 1: the degrees differ by exactly one.
             assert all(abs(t.out_degree(x) - t.out_degree(y)) == 1
-                       for x in t.vertices() for y in g.adj[x])
+                       for x in t.vertices() for y in g[x])
 
 
 def test_aux_graph_on_rotational_host_at_sweep_threshold_is_empty():
     # Every pair of a regular host has equal degrees, hence a difference >= 2.
     g = build_aux_graph(rotational_tournament(421), 4, FinderParams(4, Fraction(1, 16)))
-    assert all(not nbrs for nbrs in g.adj)
+    assert all(not nbrs for nbrs in g)
 
 
 # --- transitive chain --------------------------------------------------------

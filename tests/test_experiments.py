@@ -95,7 +95,7 @@ def test_worker_pool_is_capped_by_jobs_and_cores(monkeypatch):
 def test_a_dead_sweep_worker_gives_the_serial_rows(monkeypatch):
     parent, real = os.getpid(), toursub.experiments._instance
     monkeypatch.setattr(toursub.experiments, "_instance",
-                        lambda job: real(job) if os.getpid() == parent else os._exit(3))
+                        lambda *trial: real(*trial) if os.getpid() == parent else os._exit(3))
     monkeypatch.setattr(toursub._workers, "_usable_cores", lambda: 2)
     args = dict(k=3, trials=4, n=60, scale=Fraction(1, 12), seed=4)
     assert sweep("tt3", **args, workers=2) == sweep("tt3", **args)

@@ -204,8 +204,8 @@ def test_a_worker_does_not_fork_again(no_fork, monkeypatch):
 FORKS = []  # the os.fork calls of this process, while a test counts them
 
 
-def query_job(job):
-    """A sweep job that runs the blowup(5) refutation (11,175 nodes, past
+def query_job(*trial):
+    """A sweep trial that runs the blowup(5) refutation (11,175 nodes, past
     the probe) and a three-item map.  Its row holds the forks its process
     made meanwhile, the answer, its pid and the pids the map ran on."""
     forks = len(FORKS)

@@ -2,6 +2,7 @@
 kind's later indices; rows, cut chains and violations must equal a sweep
 that computes every trial."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,16 @@ import pytest
 import toursub._workers
 import toursub.experiments as experiments
 from toursub.core import Cut
-from toursub.experiments import SEEDLESS_KINDS, SWEEP_KINDS, TT_KINDS, build_host, sweep
+from toursub.experiments import (
+    SEEDLESS_KINDS,
+    SWEEP_COLUMNS,
+    SWEEP_KINDS,
+    TT_KINDS,
+    build_host,
+    csv_body,
+    sweep,
+)
+from toursub.params import FinderParams
 
 TRIALS = 13  # past two kind cycles, so each seedless kind repeats
 CONFIGS = {
@@ -31,10 +41,12 @@ def kinds_of(finder):
 
 
 def every_trial(finder, k, n, scale, seed):
-    """The reference sweep: ``_instance`` on every job, in order."""
+    """The reference sweep: ``_instance`` on every trial, in order."""
+    params = FinderParams(k, Fraction(str(scale)))
     rows, chains, bad = [], [], []
     for i, kind in enumerate(kinds_of(finder)):
-        row, chain, violations = experiments._instance((finder, i, kind, n, k, str(scale), seed))
+        row, chain, violations = experiments._instance(finder, params, str(scale), n, seed,
+                                                       (i, kind))
         rows.append(row)
         chains += [(i, c) for c in chain]
         if violations:
@@ -52,6 +64,33 @@ def test_seedless_kinds_are_the_kinds_whose_host_ignores_the_seed(n):
     for kind in sorted(set(SWEEP_KINDS) | set(TT_KINDS)):
         same = build_host(kind, n, 1) == build_host(kind, n, 2)
         assert same == (kind in SEEDLESS_KINDS), kind
+
+
+@pytest.mark.parametrize("finder", sorted(CONFIGS))
+def test_a_sweep_builds_one_finder_params(finder, monkeypatch):
+    built = []
+    real = experiments.FinderParams
+    monkeypatch.setattr(experiments, "FinderParams",
+                        lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+    sweep(finder, trials=TRIALS, **CONFIGS[finder])
+    assert len(built) == 1
+
+
+# sha256 of the CSV body of an 8-trial sweep at the float scale 0.1, whose
+# rows read "0.1" and whose finders run at Fraction(1, 10).
+FLOAT_SCALE_BODIES = {
+    "complete": (120, "109044350e1e6a0c76de9296e1c6697580fa8fa03963068f65646c0c82c4e675"),
+    "tt3": (90, "28126610f0ba2d1f5a0b461503651f7eb1569ab676d1de270f39d953c10718ad"),
+    "onesub": (170, "2a18c6213646cb28ce5f481cf5e8ad75c228f0691e98f5eb83a977a47890c763"),
+}
+
+
+@pytest.mark.parametrize("finder", sorted(FLOAT_SCALE_BODIES))
+def test_a_float_scale_sweep_body(finder):
+    n, digest = FLOAT_SCALE_BODIES[finder]
+    rows, _, _ = sweep(finder, k=3, trials=8, n=n, scale=0.1, seed=5)
+    assert rows[0]["scale"] == "0.1"
+    assert hashlib.sha256(csv_body(rows, SWEEP_COLUMNS[finder]).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("workers", [1, 2])

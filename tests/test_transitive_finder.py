@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import adjacency
 
 from toursub.core import (
     Tournament,
@@ -16,7 +17,6 @@ from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.subdivision import verify
 from toursub.transitive_finder import (
-    Graph,
     _onesub_base,
     ball_decomposition,
     build_aux_graph,
@@ -171,14 +171,14 @@ def test_tt3_split_recursion_still_sound():
 
 def test_aux_graph_transitive_three():
     g = build_aux_graph(transitive_tournament(3), 1)  # threshold 2
-    assert sorted(g.adj[0]) == [1]
-    assert sorted(g.adj[1]) == [0, 2]
-    assert sorted(g.adj[2]) == [1]
+    assert sorted(g[0]) == [1]
+    assert sorted(g[1]) == [0, 2]
+    assert sorted(g[2]) == [1]
 
 
 def test_aux_graph_regular_host_large_threshold():
     g = build_aux_graph(rotational_tournament(5), 10)
-    assert all(len(g.adj[v]) == 4 for v in range(5))
+    assert all(len(g[v]) == 4 for v in range(5))
 
 
 def test_aux_graph_matches_direct_recomputation():
@@ -189,7 +189,7 @@ def test_aux_graph_matches_direct_recomputation():
     for x in range(200):
         for y in range(x + 1, 200):
             expected = len(outs[x] ^ outs[y]) < 2 * k * k
-            assert (y in g.adj[x]) == expected
+            assert (y in g[x]) == expected
 
 
 @pytest.mark.parametrize("k, scale", [(7, Fraction(51, 50)), (8, Fraction(79, 100))])
@@ -203,14 +203,14 @@ def test_aux_graph_fractional_threshold(k, scale):
     for x in range(200):
         for y in range(x + 1, 200):
             expected = (t.out_mask(x) ^ t.out_mask(y)).bit_count() < params.aux_threshold
-            assert (y in g.adj[x]) == expected
+            assert (y in g[x]) == expected
 
 
 # --- ball separator -------------------------------------------------------------------
 
 
 def test_ball_decomposition_disjoint_edges():
-    g = Graph(100, [(2 * i, 2 * i + 1) for i in range(50)])
+    g = adjacency(100, [(2 * i, 2 * i + 1) for i in range(50)])
     out = ball_decomposition(g)
     assert out.removed == frozenset()
     assert all(len(c) == 2 for c in out.components)
@@ -218,7 +218,7 @@ def test_ball_decomposition_disjoint_edges():
 
 
 def test_ball_decomposition_complete_graph():
-    g = Graph(100, [(i, j) for i in range(100) for j in range(i + 1, 100)])
+    g = adjacency(100, [(i, j) for i in range(100) for j in range(i + 1, 100)])
     with pytest.raises(BallTooLarge) as info:
         ball_decomposition(g)
     assert info.value.radius == 1
@@ -229,14 +229,14 @@ def test_ball_decomposition_short_path_violates_precondition():
     # A 200-vertex path cannot be decomposed into pieces of size
     # <= 200/(5 ln 200) ~ 7.5 by removing <= 7 vertices, so the ball
     # precondition must fail.
-    g = Graph(200, [(i, i + 1) for i in range(199)])
+    g = adjacency(200, [(i, i + 1) for i in range(199)])
     with pytest.raises(BallTooLarge):
         ball_decomposition(g)
 
 
 def test_ball_decomposition_long_path():
     n = 100_000
-    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    g = adjacency(n, [(i, i + 1) for i in range(n - 1)])
     out = ball_decomposition(g)
     bound = n / (5 * math.log(n))
     assert len(out.removed) <= bound
@@ -248,7 +248,7 @@ def test_ball_decomposition_long_path():
 
 
 def test_ball_decomposition_components_are_exact():
-    g = Graph(3000, [(i, i + 1) for i in range(2999) if (i + 1) % 9])
+    g = adjacency(3000, [(i, i + 1) for i in range(2999) if (i + 1) % 9])
     try:
         out = ball_decomposition(g)
     except BallTooLarge:
@@ -264,7 +264,7 @@ def test_ball_decomposition_components_are_exact():
         seen.add(v)
         while stack:
             x = stack.pop()
-            for w in g.adj[x]:
+            for w in g[x]:
                 if w in alive and w not in seen:
                     seen.add(w)
                     comp.add(w)

@@ -109,8 +109,8 @@ def test_aux_graph_on_a_universe(case, k, scale):
     t, uni, verts, sub = case
     params = FinderParams(k, scale)
     g = build_aux_graph(t, k, params, uni)
-    assert g.n == len(verts)
-    assert g.adj == build_aux_graph(sub, k, params).adj
+    assert len(g) == len(verts)
+    assert g == build_aux_graph(sub, k, params)
 
 
 @given(CASES, st.data())
