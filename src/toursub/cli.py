@@ -192,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="run a constructive finder")
     p.add_argument("finder", choices=["complete", "digraph", "tt3", "onesub"])
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=3)
+    # None marks an omitted --k: digraph takes none, the other finders read 3.
+    p.add_argument("--k", type=int, default=None,
+                   help="subdivision order for complete, tt3 and onesub (default 3)")
     p.add_argument("--pattern", default=None, help="pattern spec for the digraph finder")
     p.add_argument("--scale", type=_fraction, default=Fraction(1))
     p.add_argument("--out", default=None)
@@ -227,8 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "find" and args.finder == "digraph" and not args.pattern:
-        parser.error("find digraph requires --pattern")
+    if args.command == "find" and args.finder == "digraph":
+        if not args.pattern:
+            parser.error("find digraph requires --pattern")
+        if args.k is not None:
+            parser.error("find digraph takes no --k: the order comes from --pattern")
+    elif args.command == "find" and args.k is None:
+        args.k = 3
     try:
         return args.func(args)
     except (ToursubError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError

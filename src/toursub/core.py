@@ -19,7 +19,10 @@ One bit transpose, ``_transpose``, gives a host's columns (its in-rows) to
 random generation and to the parser's orientation check.  It lays the rows
 out as 8x8-bit lanes, one byte per row, transposes every lane with shifts and
 masks on chunk-sized integers, and then column j is every (8 * ceil(n/8))-th
-byte from byte j.
+byte from byte j.  It fills and transposes the lanes one chunk of row
+groups at a time, so only that chunk's row bytes are held beside them, and
+hands the columns out lazily, one at a time: both callers only zip them
+with the rows.
 """
 
 from __future__ import annotations
@@ -82,36 +85,37 @@ def _swar_masks(lanes: int) -> Tuple[Tuple[int, int], ...]:
                  for shift, mask in _SWAR_STEPS)
 
 
-def _transpose(rows: Sequence[int], n: int) -> List[int]:
-    """Columns of the n x n bit matrix with the given rows: bit i of column
-    j is bit j of row i.
+def _transpose(rows: Sequence[int], n: int) -> Iterator[int]:
+    """Columns of the n x n bit matrix with the given rows, in order and
+    one at a time: bit i of column j is bit j of row i.
 
     With B = ceil(n/8), the rows, padded to 8B, are laid out as B*B lanes:
     lane (g, b) holds byte b of rows 8g..8g+7, one byte each, so it is the
-    8x8 block at row group g and column byte b.  Transposing every lane
-    makes byte c of that lane rows 8g..8g+7 of column 8b+c, so column j is
-    every (8B)-th byte from byte j; one C-level map cuts and converts the
-    columns."""
+    8x8 block at row group g and column byte b.  The lanes are filled and
+    transposed a block of whole row groups at a time, up to a chunk of
+    lanes, so only that block's row bytes are held beside the lanes.
+    Transposing every lane makes byte c of that lane rows 8g..8g+7 of
+    column 8b+c, so column j is every (8B)-th byte from byte j; a C-level
+    map cuts and converts each column as it is asked for."""
     width = (n + 7) // 8
     stride = 8 * width
-    pieces = list(map(int.to_bytes, rows, repeat(width), repeat("little")))
-    pieces += [bytes(width)] * (stride - n)
+    groups = max(1, _CHUNK_LANES // width)  # row groups per block
+    steps = _swar_masks(min(groups, width) * width)
+    blank = bytes(width)
     buf = bytearray(stride * width)
-    for k in range(8):
-        buf[k::8] = b"".join(pieces[k::8])
-    del pieces
-    lanes = min(width * width, _CHUNK_LANES)
-    steps = _swar_masks(lanes)
-    size = 8 * lanes
-    for lo in range(0, len(buf), size):
-        chunk = memoryview(buf)[lo:lo + size]
-        x = int.from_bytes(chunk, "little")
+    for lo in range(0, n, 8 * groups):
+        pieces = list(map(int.to_bytes, rows[lo:lo + 8 * groups], repeat(width), repeat("little")))
+        pieces += [blank] * (-len(pieces) % 8)
+        lanes = bytearray(width * len(pieces))
+        for k in range(8):
+            lanes[k::8] = b"".join(pieces[k::8])
+        x = int.from_bytes(lanes, "little")
         for shift, mask in steps:
             t = (x ^ (x >> shift)) & mask
             x ^= t ^ (t << shift)
-        chunk[:] = x.to_bytes(len(chunk), "little")
+        buf[lo * width:(lo + len(pieces)) * width] = x.to_bytes(len(lanes), "little")
     columns = map(buf.__getitem__, map(slice, range(n), repeat(None), repeat(stride)))
-    return list(map(int.from_bytes, columns, repeat("little")))
+    return map(int.from_bytes, columns, repeat("little"))
 
 
 class Tournament:
@@ -241,13 +245,19 @@ def universe_degrees(t: Tournament, uni: int) -> Tuple[List[int], List[int]]:
     return memo[1], memo[2]
 
 
+def _members(mask: int) -> List[int]:
+    """The set bits of ``mask`` in ascending order.  Character i of the
+    reversed ``bin(mask)`` is bit i, so one C-level ``translate`` to 0/1
+    bytes and one ``compress`` list them with no per-bit big-int
+    arithmetic."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(bits)), bits))
+
+
 def _count_degrees(rows: Sequence[int], uni: int) -> Tuple[List[int], List[int]]:
-    """``universe_degrees`` without the memo.  Character i of the reversed
-    ``bin(uni)`` is bit i, so one C-level ``translate`` to 0/1 bytes and one
-    ``compress`` list the vertices with no per-bit big-int arithmetic; one
-    comprehension over the rows counts the degrees."""
-    bits = bin(uni)[:1:-1].encode().translate(_BIT_BYTES)
-    vertices = list(compress(range(len(bits)), bits))
+    """``universe_degrees`` without the memo: ``_members`` lists the
+    vertices and one comprehension over the rows counts the degrees."""
+    vertices = _members(uni)
     return vertices, [(rows[v] & uni).bit_count() for v in vertices]
 
 
@@ -305,16 +315,20 @@ class Cut:
 def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple[int, ...]]:
     """Internals of an x -> y path of length 2 or 3 through ``avail``: the
     lowest 2-path internal, else the lexicographically lowest 3-path.  A row
-    never holds its own vertex, so z needs no masking out of its own row."""
+    never holds its own vertex, so z needs no masking out of its own row.
+    The lowest z whose row meets ``into_y`` is found in one C-level scan of
+    the candidates' rows."""
     into_y = t.in_mask(y) & avail
     w = t.out_mask(x) & into_y
     if w:
         return ((w & -w).bit_length() - 1,)
-    for z in bits_of(t.out_mask(x) & avail):
-        ww = t.out_mask(z) & into_y
-        if ww:
-            return (z, (ww & -ww).bit_length() - 1)
-    return None
+    rows = t._out
+    candidates = _members(t.out_mask(x) & avail)
+    z = next(compress(candidates, map(into_y.__and__, map(rows.__getitem__, candidates))), None)
+    if z is None:
+        return None
+    ww = rows[z] & into_y
+    return (z, (ww & -ww).bit_length() - 1)
 
 
 FORMAT_HEADER = "tournament v1"
@@ -395,40 +409,46 @@ def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
     without holding the whole text.  Lines are split and blank ones skipped
     the same way in both cases, so both give the same result or error.
 
-    Each row is checked, converted and hashed in one pass over its bytes: a
-    row of n ASCII bytes that are ``0``/``1`` apart from one ``-`` at its
-    diagonal is byte for byte the ``format_tournament`` row, so the host
-    carries ``tournament_hash`` of its canonical text without formatting it.
-    The row strings are then dropped, and every pair must have exactly one
-    direction: each mask, xor its column, holds every other vertex."""
+    Each row is checked, converted and hashed as it arrives: a row of n
+    ASCII bytes that are ``0``/``1`` apart from one ``-`` at its diagonal
+    is byte for byte the ``format_tournament`` row, so the host carries
+    ``tournament_hash`` of its canonical text without formatting it.  Only
+    the masks and the running digest are kept, never the row strings
+    together.  A wrong row count is reported before a bad row, so the
+    first bad row's error waits until every row is counted.  Then every
+    pair must have exactly one direction: each mask, xor its column, holds
+    every other vertex."""
     if isinstance(text, str):
         pieces: Iterable[str] = text.splitlines()
     else:
         # Splitting each line again splits at the characters besides "\n"
         # that ``str.splitlines`` treats as line boundaries.
         pieces = (piece for line in text for piece in line.splitlines())
-    lines = [ln for ln in pieces if ln.strip()]
-    if not lines or lines[0].strip() != FORMAT_HEADER:
+    rows = filter(None, map(str.strip, pieces))  # the stripped non-blank lines
+    if next(rows, None) != FORMAT_HEADER:
         raise ValueError(f"missing {FORMAT_HEADER!r} header")
-    count = lines[1].strip() if len(lines) > 1 else ""
+    count = next(rows, "")
     if not (count.isascii() and count.isdigit()):
         raise ValueError("bad vertex count line")
     n = int(count)
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if len(lines) != n + 2:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
-    rows = [ln.strip() for ln in lines[2:]]
     digest = hashlib.sha256(f"{FORMAT_HEADER}\n{n}\n".encode())
     out = []
-    for i, row in enumerate(rows):
+    error = None
+    for i, row in enumerate(islice(rows, n)):
         raw = row.encode()
         if not (len(raw) == n and raw.translate(None, b"01") == b"-" and row[i] == "-"):
-            raise _row_error(row, i, n)
+            error = _row_error(row, i, n)
+            break
         digest.update(raw)
         digest.update(b"\n")
         out.append(_row_mask(row))
-    del pieces, lines, rows  # the text goes before the columns are built
+    found = len(out) + (error is not None) + sum(1 for _ in rows)
+    if found != n:
+        raise ValueError(f"expected {n} matrix rows, found {found}")
+    if error is not None:
+        raise error
     _check_orientation(out)
     t = Tournament(out)
     t._hash = digest.hexdigest()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,28 @@ def test_find_digraph_pattern(tmp_path):
                 "--pattern", "edges:0>1", "--scale", "1/2",
                 "--out", str(wit)]) == 0
     assert run(["verify", "--input", str(host), "--witness", str(wit)]) == 0
+
+
+# sha256 of the witness of `find digraph --pattern complete:3 --scale 1/96`
+# on random(60, seed 3), as written before --k was rejected for digraph.
+DIGRAPH_WITNESS_SHA256 = "cc0e3fd1034d518b006138d74dcee96b4f8af23265ccea63d79724f1f8b00ddd"
+
+
+def test_find_digraph_rejects_k(tmp_path, capsys):
+    # The pattern alone sets a digraph run's order, so --k is a usage error
+    # rather than an option that is silently ignored.
+    host = tmp_path / "t.txt"
+    wit = tmp_path / "w.json"
+    run(["gen", "--kind", "random", "--n", "60", "--seed", "3", "--out", str(host)])
+    argv = ["find", "digraph", "--input", str(host), "--pattern", "complete:3",
+            "--scale", "1/96", "--out", str(wit)]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--k", "9"])
+    assert exc.value.code == 1
+    assert "find digraph takes no --k" in capsys.readouterr().err
+    assert not wit.exists()
+    assert run(argv) == 0
+    assert hashlib.sha256(wit.read_bytes()).hexdigest() == DIGRAPH_WITNESS_SHA256
 
 
 FIND_ARGS = {

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toursub.core import (
     Tournament,
+    _try_short_path,
+    bits_of,
     blowup_cyclic_triangle,
     format_tournament,
     generate,
@@ -204,3 +208,37 @@ def test_hash_is_stable_and_distinguishes():
     c = tournament_hash(transitive_tournament(7))
     assert a == b != c
     assert len(a) == 64
+
+
+# --- short paths ---------------------------------------------------------------
+
+
+def reference_short_path(t, x, y, avail):
+    """The per-candidate walk: the lowest 2-path internal, else the first z
+    of out(x) & avail, in ascending order, whose row meets into_y."""
+    into_y = t.in_mask(y) & avail
+    w = t.out_mask(x) & into_y
+    if w:
+        return ((w & -w).bit_length() - 1,)
+    for z in bits_of(t.out_mask(x) & avail):
+        ww = t.out_mask(z) & into_y
+        if ww:
+            return (z, (ww & -ww).bit_length() - 1)
+    return None
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (9, 1), (40, 2), (130, 3), (300, 4)])
+def test_short_path_matches_the_per_candidate_walk(n, seed):
+    t = random_tournament(n, seed)
+    rng = random.Random(seed)
+    kinds = {0: 0, 1: 0, 2: 0, None: 0}
+    for _ in range(400):
+        x, y = rng.randrange(n), rng.randrange(n)
+        # Small masks often leave no 2-path, or no path at all.
+        size = rng.choice([1, 2, 3, 4, 8, n // 4, n // 2, n])
+        avail = sum(1 << v for v in rng.sample(range(n), min(size, n)))
+        avail &= ~(1 << x | 1 << y)
+        found = _try_short_path(t, x, y, avail)
+        assert found == reference_short_path(t, x, y, avail)
+        kinds[None if found is None else len(found)] += 1
+    assert kinds[None] and (n < 9 or kinds[1] and kinds[2])

@@ -134,14 +134,14 @@ def bit_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_transpose_matches_reference(case):
     rows, n = case
-    assert _transpose(rows, n) == reference_transpose(rows, n)
+    assert list(_transpose(rows, n)) == reference_transpose(rows, n)
 
 
 @pytest.mark.parametrize("n", BOUNDARY_N)
 def test_transpose_matches_reference_at_boundaries(n):
     rng = random.Random(n)
     rows = [rng.getrandbits(n) for _ in range(n - 2)] + [0, (1 << n) - 1]
-    assert _transpose(rows, n) == reference_transpose(rows, n)
+    assert list(_transpose(rows, n)) == reference_transpose(rows, n)
 
 
 # --- generators ----------------------------------------------------------------

@@ -351,9 +351,16 @@ def test_malformed_row_message(row, message):
     lambda: random_tournament(800, 5),
 ], ids=["rotational(1001)", "random(800, 5)"])
 def test_parse_from_a_file_peaks_under_two_bytes_per_entry(build, tmp_path):
-    # The rows are held once, as text, beside the masks; no copy of the
-    # whole matrix is joined.
+    # The rows are read one at a time and never held together as text;
+    # the masks, the transpose's lanes and one row at a time fit well
+    # inside this bound.
     t = build()
+    assert parse_peak(t, tmp_path) <= 2.0 * t.n ** 2
+
+
+def parse_peak(t, tmp_path):
+    """Traced peak bytes of parsing ``t`` from a file, after checking the
+    parse returns ``t``."""
     path = tmp_path / "host.txt"
     with open(path, "w") as fh:
         write_tournament(t, fh)
@@ -365,7 +372,32 @@ def test_parse_from_a_file_peaks_under_two_bytes_per_entry(build, tmp_path):
     finally:
         tracemalloc.stop()
     assert parsed == t
-    assert peak <= 2.0 * t.n ** 2
+    return peak
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotational_tournament(2095),
+    lambda: random_tournament(1350, 0),
+], ids=["rotational(2095)", "random(1350, 0)"])
+def test_parse_of_a_paper_scale_host_streams_its_rows(build, tmp_path):
+    # The paper-scale hosts of the CLI benchmark.  Streaming keeps the
+    # masks (n^2/8 bytes), the transpose's lanes (n^2/8) and one row of
+    # text at a time, about 0.35 n^2; holding every row string as well
+    # reads about 1.2 n^2.
+    t = build()
+    assert parse_peak(t, tmp_path) < 0.6 * t.n ** 2
+
+
+def test_row_count_is_reported_before_a_bad_row():
+    # A streaming parse meets the bad row 0 before it can count the rows;
+    # the row-count error still comes first, as in the reference.
+    lines = format_tournament(rotational_tournament(5)).splitlines()
+    lines[2] = "x" + lines[2][1:]
+    for rows, found in ((lines[2:-1], 4), (lines[2:] + lines[-1:], 6)):
+        text = "\n".join(lines[:2] + rows) + "\n"
+        expected = f"ValueError: expected 5 matrix rows, found {found}"
+        assert outcome(parse_tournament, text) == outcome(reference_parse, text) == expected
+        assert outcome(parse_tournament, text.splitlines(keepends=True)) == expected
 
 
 # Surrounding whitespace is stripped as for rows; signs, separators and
