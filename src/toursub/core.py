@@ -23,6 +23,14 @@ byte from byte j.  It fills and transposes the lanes one chunk of row
 groups at a time, so only that chunk's row bytes are held beside them, and
 hands the columns out lazily, one at a time: both callers only zip them
 with the rows.
+
+The text format is read and written a block of about 32 KB of text at a
+time, so memory is bounded by the block rather than by n^2.  The parser
+checks, hashes and converts a block of rows at once: a canonical block,
+byte for byte what ``format_tournament`` writes, takes the whole-block path,
+and any other block (blank lines, indentation, other line boundaries, bad or
+extra rows, no final newline) goes through the per-line rules.  Writing and
+hashing format a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +39,9 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count, islice, repeat
-from operator import itemgetter, lshift
+from operator import add, itemgetter, lshift
 from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 __all__ = [
@@ -332,17 +340,29 @@ def _try_short_path(t: Tournament, x: int, y: int, avail: int) -> Optional[Tuple
 
 
 FORMAT_HEADER = "tournament v1"
+_BLOCK = 1 << 15  # characters of text per block, parsed or written
 
 
-def _format_rows(t: Tournament) -> Iterator[str]:
-    """Matrix rows of the text format: character j of row i is ``1`` iff
-    i -> j, with ``-`` on the diagonal.  One C-level ``format`` per row."""
+def _format_lines(t: Tournament) -> Iterator[bytes]:
+    """The text format as ASCII pieces: the header and vertex count, then
+    the matrix rows a block of about ``_BLOCK`` characters at a time.
+    Character j of row i is ``1`` iff i -> j, with ``-`` on the diagonal.
+    A block joins one C-level ``format`` per row in reverse row order and
+    reverses the whole string, which puts the rows back in order with bit j
+    at character j; one strided assignment then writes every diagonal
+    ``-``, since row lo + k's is k * (n + 2) characters past row lo's."""
     n = t.n
+    yield f"{FORMAT_HEADER}\n{n}\n".encode()
     spec = f"0{n}b"
-    full = t.full_mask
-    for i, mask in enumerate(t._out):
-        row = format(mask & full, spec)[::-1]
-        yield row[:i] + "-" + row[i + 1:]
+    step = max(1, _BLOCK // (n + 1))  # rows per block
+    rows = map(t.full_mask.__and__, t._out)
+    for lo in range(0, n, step):
+        masks = list(islice(rows, step))
+        digits = "\n".join(map(format, reversed(masks), repeat(spec)))
+        block = bytearray(digits[::-1].encode())
+        block += b"\n"
+        block[lo::n + 2] = b"-" * len(masks)
+        yield block
 
 
 def _check_orientation(masks: Sequence[int]) -> None:
@@ -374,9 +394,10 @@ def _row_mask(row: str) -> int:
 
 def _row_error(row: str, i: int, n: int) -> ValueError:
     """The error for matrix row ``i`` when it fails the byte check in
-    ``parse_tournament``: its length, or its first entry that is not ``-``
-    on the diagonal and a binary digit elsewhere.  The byte check accepts
-    exactly the rows without such an entry, so the scan always finds one."""
+    ``_RowReader.add_lines``: its length, or its first entry that is not
+    ``-`` on the diagonal and a binary digit elsewhere.  The byte check
+    accepts exactly the rows without such an entry, so the scan always
+    finds one."""
     if len(row) != n:
         return ValueError(f"row {i} has length {len(row)}, expected {n}")
     j = next(k for k, ch in enumerate(row) if ch not in ("-" if k == i else "01"))
@@ -385,83 +406,159 @@ def _row_error(row: str, i: int, n: int) -> ValueError:
     return ValueError(f"bad character {row[j]!r} at ({i},{j})")
 
 
-def _format_lines(t: Tournament) -> Iterator[str]:
-    """The text format as newline-terminated pieces: the header and vertex
-    count, then one matrix row at a time."""
-    yield f"{FORMAT_HEADER}\n{t.n}\n"
-    for row in _format_rows(t):
-        yield f"{row}\n"
-
-
 def format_tournament(t: Tournament) -> str:
-    return "".join(_format_lines(t))
+    return b"".join(_format_lines(t)).decode()
 
 
 def write_tournament(t: Tournament, fh: TextIO) -> None:
-    """Write the ``format_tournament`` text to ``fh`` row by row, without
-    holding the whole text."""
-    fh.writelines(_format_lines(t))
+    """Write the ``format_tournament`` text to ``fh`` a block of rows at a
+    time, without holding the whole text."""
+    fh.writelines(piece.decode() for piece in _format_lines(t))
+
+
+def _text_blocks(text: Union[str, Iterable[str]]) -> Iterator[str]:
+    """The text of a ``parse_tournament`` source as blocks of whole lines,
+    each cut after its last ``"\n"`` with the rest carried into the next,
+    then any text after the final ``"\n"``.  A string is taken in slices of
+    ``_BLOCK`` characters and a file through ``read(_BLOCK)``.  Any other
+    iterable gives one element at a time with a ``"\n"`` added, so element
+    boundaries stay line boundaries; the blank line this may add is skipped
+    like any other.  Only a ``"\n"`` ends a block, so a ``"\r\n"`` is never
+    split and every block splits into lines as it would in the whole text."""
+    if isinstance(text, str):
+        chunks: Iterable[str] = map(text.__getitem__, map(
+            slice, range(0, len(text), _BLOCK), count(_BLOCK, _BLOCK)))
+    elif hasattr(text, "read"):
+        chunks = iter(partial(text.read, _BLOCK), "")
+    else:
+        chunks = map(add, text, repeat("\n"))
+    carry = ""
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry
+
+
+class _RowReader:
+    """The matrix rows of a parse: the accepted rows' masks, the running
+    sha256 of their text, the number of row lines, and the first bad row's
+    error.  An accepted row is byte for byte the ``format_tournament`` row,
+    so the digest is ``tournament_hash`` of the host.  The error waits until
+    every row is counted, because a wrong row count is reported first;
+    after it only the count is read."""
+
+    __slots__ = ("n", "masks", "digest", "found", "error")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.masks: List[int] = []
+        self.digest = hashlib.sha256(f"{FORMAT_HEADER}\n{n}\n".encode())
+        self.found = 0
+        self.error: Optional[ValueError] = None
+
+    def add_block(self, block: str) -> None:
+        """Take a block of whole lines, as ``_text_blocks`` cuts them: it
+        ends in ``"\n"`` or holds none.  A canonical block, r rows of n
+        ASCII characters and a ``"\n"``, each ``0``/``1`` apart from its
+        ``-`` on the diagonal, is checked, hashed and converted whole; any
+        other block goes through ``add_lines``.
+
+        Byte checks find a canonical block of r = len // (n + 1) rows.
+        Deleting its binary digits leaves one ``-`` and one ``"\n"`` per
+        row, in that order.  The newlines sit every n + 1 bytes from byte n,
+        so every row has n characters and the last newline ends the block.
+        The row after row k has its diagonal n + 2 bytes later, so the
+        ``-`` sit every n + 2 bytes from byte ``found``.  A row past row
+        n - 1 would put its diagonal on a newline, so no extra row passes."""
+        n, lo = self.n, self.found
+        r = len(block) // (n + 1)
+        if r and block.isascii():
+            raw = block.encode()
+            if (raw.translate(None, b"01") == b"-\n" * r and raw[n::n + 1] == b"\n" * r
+                    and raw[lo::n + 2] == b"-" * r):
+                self.digest.update(raw)
+                # Reversed without its final newline, the block lists its
+                # rows last first, each with bit j at character j from the
+                # right.
+                masks = list(map(int, block.replace("-", "0")[-2::-1].split("\n"), repeat(2)))
+                masks.reverse()
+                self.masks += masks
+                self.found += r
+                return
+        self.add_lines(block.splitlines())
+
+    def add_lines(self, lines: Iterable[str]) -> None:
+        """Take rows one line at a time: surrounding whitespace is stripped
+        and blank lines skipped.  A row is accepted while no row has failed
+        and fewer than n came before it, if it is n ASCII bytes that are
+        ``0``/``1`` apart from one ``-`` at its diagonal."""
+        n = self.n
+        for row in filter(None, map(str.strip, lines)):
+            i = self.found
+            self.found += 1
+            if self.error is not None or i >= n:
+                continue
+            raw = row.encode("ascii", "replace")  # "?" for a character the check rejects
+            if not (len(raw) == n and raw.translate(None, b"01") == b"-" and row[i] == "-"):
+                self.error = _row_error(row, i, n)
+                continue
+            self.digest.update(raw)
+            self.digest.update(b"\n")
+            self.masks.append(_row_mask(row))
 
 
 def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:
-    """Parse the text format from a string, or from an iterable of its lines
-    such as an open text file, which is then read one line at a time
-    without holding the whole text.  Lines are split and blank ones skipped
-    the same way in both cases, so both give the same result or error.
-
-    Each row is checked, converted and hashed as it arrives: a row of n
-    ASCII bytes that are ``0``/``1`` apart from one ``-`` at its diagonal
-    is byte for byte the ``format_tournament`` row, so the host carries
-    ``tournament_hash`` of its canonical text without formatting it.  Only
-    the masks and the running digest are kept, never the row strings
-    together.  A wrong row count is reported before a bad row, so the
-    first bad row's error waits until every row is counted.  Then every
-    pair must have exactly one direction: each mask, xor its column, holds
-    every other vertex."""
-    if isinstance(text, str):
-        pieces: Iterable[str] = text.splitlines()
-    else:
-        # Splitting each line again splits at the characters besides "\n"
-        # that ``str.splitlines`` treats as line boundaries.
-        pieces = (piece for line in text for piece in line.splitlines())
-    rows = filter(None, map(str.strip, pieces))  # the stripped non-blank lines
-    if next(rows, None) != FORMAT_HEADER:
+    """Parse the text format from a string, an open text file, or any other
+    iterable of its lines.  Each is read a block of whole lines at a time
+    (``_text_blocks``) and split into lines the same way, so all give the
+    same result or error.  The first two non-blank lines are the header and
+    the vertex count; ``_RowReader`` takes the rows, and the host carries
+    their hash.  Errors come in this order: the header, the count line, the
+    number of rows, the first bad row.  Then every pair must have exactly
+    one direction: each mask, xor its column, holds every other vertex."""
+    blocks = _text_blocks(text)
+    head: List[str] = []  # the header and count lines
+    rest = ""  # the lines after them in their block
+    for block in blocks:
+        lines = iter(block.splitlines(keepends=True))
+        head += islice(filter(None, map(str.strip, lines)), 2 - len(head))
+        if len(head) == 2:
+            rest = "".join(lines)
+            break
+    if not head or head[0] != FORMAT_HEADER:
         raise ValueError(f"missing {FORMAT_HEADER!r} header")
-    count = next(rows, "")
+    count = head[1] if len(head) == 2 else ""
     if not (count.isascii() and count.isdigit()):
         raise ValueError("bad vertex count line")
     n = int(count)
     if n < 1:
         raise ValueError("vertex count must be positive")
-    digest = hashlib.sha256(f"{FORMAT_HEADER}\n{n}\n".encode())
-    out = []
-    error = None
-    for i, row in enumerate(islice(rows, n)):
-        raw = row.encode()
-        if not (len(raw) == n and raw.translate(None, b"01") == b"-" and row[i] == "-"):
-            error = _row_error(row, i, n)
-            break
-        digest.update(raw)
-        digest.update(b"\n")
-        out.append(_row_mask(row))
-    found = len(out) + (error is not None) + sum(1 for _ in rows)
-    if found != n:
-        raise ValueError(f"expected {n} matrix rows, found {found}")
-    if error is not None:
-        raise error
-    _check_orientation(out)
-    t = Tournament(out)
-    t._hash = digest.hexdigest()
+    rows = _RowReader(n)
+    rows.add_block(rest)
+    for block in blocks:
+        rows.add_block(block)
+    if rows.found != n:
+        raise ValueError(f"expected {n} matrix rows, found {rows.found}")
+    if rows.error is not None:
+        raise rows.error
+    _check_orientation(rows.masks)
+    t = Tournament(rows.masks)
+    t._hash = rows.digest.hexdigest()
     return t
 
 
 def tournament_hash(t: Tournament) -> str:
     """sha256 of the exact ``format_tournament`` bytes.  A parsed host
-    carries it from its text; any other host streams its formatted rows
+    carries it from its text; any other host feeds its formatted blocks
     into sha256 on first use and keeps the digest."""
     if t._hash is None:
         digest = hashlib.sha256()
-        for line in _format_lines(t):
-            digest.update(line.encode())
+        for piece in _format_lines(t):
+            digest.update(piece)
         t._hash = digest.hexdigest()
     return t._hash

@@ -122,7 +122,11 @@ def find_nearly_regular_k(t: Tournament, k: int, universe: Optional[int] = None)
                        stage="nearly-regular")
     base_set = find_nearly_regular(t, uni)
     width = DEGREE_WINDOW_FACTOR * k
-    in_degrees = [n - 1 - (t.out_mask(v) & uni).bit_count() for v in base_set.vertices]
+    # find_nearly_regular has just counted every degree in the universe; the
+    # base set's come from that count, in the base set's ascending order.
+    vertices, degrees = universe_degrees(t, uni)
+    chosen = set(base_set.vertices)
+    in_degrees = [n - 1 - d for v, d in zip(vertices, degrees) if v in chosen]
     window = first_window(base_set.vertices, in_degrees, 0, width, k)
     if window is None:
         raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",

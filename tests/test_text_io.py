@@ -1,9 +1,9 @@
-"""Tournament text format: the row-wise format, hash and parser against a
+"""Tournament text format: the block-wise format, hash and parser against a
 per-character reference.
 
-The reference functions below are the per-character implementations the
-row-wise ones replaced.  The parser must return the same tournament, or
-raise ``ValueError`` with the same message, on every input.  A parsed host
+The reference functions below work one character at a time.  The parser
+must return the same tournament, or raise ``ValueError`` with the same
+message, on every input, wherever its blocks are cut.  A parsed host
 carries the hash of its canonical text, which must equal the hash of the
 same host built from its rows.
 """
@@ -12,6 +12,7 @@ import hashlib
 import io
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +387,112 @@ def test_parse_of_a_paper_scale_host_streams_its_rows(build, tmp_path):
     # reads about 1.2 n^2.
     t = build()
     assert parse_peak(t, tmp_path) < 0.6 * t.n ** 2
+
+
+def test_parse_of_a_paper_scale_string_streams_its_rows():
+    # A string is read in slices, one block of lines at a time, so its
+    # parse holds what a file's does beside the text; a list of its lines
+    # would add about 1.37 n^2.
+    t = rotational_tournament(2095)
+    text = format_tournament(t)
+    tracemalloc.start()
+    try:
+        parsed = parse_tournament(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == t
+    assert peak < 0.6 * t.n ** 2
+
+
+# --- block edges -------------------------------------------------------------
+
+
+def block_sources(text):
+    """The three kinds of parser input: the string, a text stream, and a
+    list of its lines."""
+    return [text, io.StringIO(text), text.splitlines(keepends=True)]
+
+
+def reference_outcome(text):
+    """The per-character reference's tournament and the hash of its
+    canonical text, or its error message."""
+    result = outcome(reference_parse, text)
+    if isinstance(result, str):
+        return result
+    return result, hashlib.sha256(reference_format(result).encode()).hexdigest()
+
+
+def block_outcome(source):
+    result = outcome(parse_tournament, source)
+    if isinstance(result, str):
+        return result
+    return result, tournament_hash(result)
+
+
+def edited(text, row, edit):
+    """``text`` with matrix row ``row`` passed through ``edit``."""
+    lines = text.split("\n")
+    lines[2 + row] = edit(lines[2 + row])
+    return "\n".join(lines)
+
+
+BLOCK_HOST = random_tournament(7, 3)
+BLOCK_TEXT = format_tournament(BLOCK_HOST)
+BLOCK_CASES = {
+    "canonical": BLOCK_TEXT,
+    "crlf": BLOCK_TEXT.replace("\n", "\r\n"),
+    "no final newline": BLOCK_TEXT[:-1],
+    "indented and blank lines": edited(BLOCK_TEXT, 3, lambda row: f"\n  {row}\t\n"),
+    "bad row in a later block": edited(BLOCK_TEXT, 5, lambda row: row[:2] + "x" + row[3:]),
+    "bad diagonal in a later block": edited(BLOCK_TEXT, 6, lambda row: row[:6] + "0"),
+    "dash off the diagonal": edited(BLOCK_TEXT, 4, lambda row: row[:3] + "-0" + row[5:]),
+    # Rows 1 and 2 keep their diagonals in place and the rows' total length.
+    "rows of uneven length": edited(edited(BLOCK_TEXT, 1, lambda row: row[:-1]), 2,
+                                    lambda row: "0" + row),
+    # Not ASCII, and not even UTF-8: a lone surrogate is still a bad character.
+    "surrogate row": edited(BLOCK_TEXT, 5, lambda row: row[:6] + "\ud800"),
+    "surrogate after a bad row": edited(edited(BLOCK_TEXT, 2, lambda row: "x" + row[1:]), 5,
+                                        lambda row: row[:6] + "\ud800"),
+    "extra row in a later block": BLOCK_TEXT + BLOCK_TEXT.splitlines()[-1] + "\n",
+    "missing row": edited(BLOCK_TEXT, 6, lambda row: ""),
+    "both directions in a later block": edited(BLOCK_TEXT, 6, lambda row: "1" * 6 + "-"),
+    "bad count line": BLOCK_TEXT.replace("\n7\n", "\n7x\n"),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 17, 48],
+                         ids=["1", "2", "n", "n+1", "n+2", "2n+3", "header and 4 rows"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_edges_match_the_reference(monkeypatch, case, size):
+    # Blocks of 1, 2, n, n+1, n+2 and 2n+3 characters put block edges
+    # inside the header, inside rows, between "\r" and "\n" and after the
+    # last row, and put the bad, extra or missing row in a later block.
+    # 48 characters hold the header lines and rows 0-3 in the first block.
+    text = BLOCK_CASES[case]
+    monkeypatch.setattr(toursub.core, "_BLOCK", size)
+    expected = reference_outcome(text)
+    for source in block_sources(text):
+        assert block_outcome(source) == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 17, 40])
+def test_written_blocks_match_the_reference(monkeypatch, size):
+    monkeypatch.setattr(toursub.core, "_BLOCK", size)
+    fh = io.StringIO()
+    write_tournament(BLOCK_HOST, fh)
+    assert format_tournament(BLOCK_HOST) == fh.getvalue() == BLOCK_TEXT == reference_format(BLOCK_HOST)
+    fresh = Tournament([BLOCK_HOST.out_mask(v) for v in BLOCK_HOST.vertices()])
+    assert tournament_hash(fresh) == hashlib.sha256(BLOCK_TEXT.encode()).hexdigest()
+
+
+@given(mutated_texts(), st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_parse_in_small_blocks_matches_reference(text, size):
+    with mock.patch.object(toursub.core, "_BLOCK", size):
+        expected = reference_outcome(text)
+        for source in block_sources(text):
+            assert block_outcome(source) == expected
 
 
 def test_row_count_is_reported_before_a_bad_row():
