@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import __version__
 from .core import generate, parse_tournament, tournament_hash, write_tournament
 from .errors import ToursubError
-from .experiments import SCAN_DK_COLUMNS, SWEEP_COLUMNS, run_finder, sweep, write_csv
-from .oracle import DEFAULT_BUDGET, OracleQuery, oracle_subdivision, scan_d_lower
+from .experiments import SWEEP_COLUMNS, VERIFY_CAPS, run_finder, sweep, write_csv
+from .oracle import DEFAULT_BUDGET, SCAN_DK_COLUMNS, OracleQuery, oracle_subdivision, scan_d_lower
 from .params import FinderParams
 from .subdivision import (
     dump_witness,
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find", help="run a constructive finder")
-    p.add_argument("finder", choices=["complete", "digraph", "tt3", "onesub"])
+    p.add_argument("finder", choices=list(VERIFY_CAPS))
     p.add_argument("--input", required=True)
     # None marks an omitted --k: digraph takes none, the other finders read 3.
     p.add_argument("--k", type=int, default=None,
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="batch experiments with CSV output")
     p.add_argument("experiment", choices=["scan-dk", "soundness-sweep"])
-    p.add_argument("--finder", choices=["complete", "tt3", "onesub"], default="complete")
+    p.add_argument("--finder", choices=list(SWEEP_COLUMNS), default="complete")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", default="240",
                    help="host size; scan-dk accepts a range like 6..10")

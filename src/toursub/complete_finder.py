@@ -442,10 +442,18 @@ def _run_pattern_driver(
     t: Tournament,
     pattern: PatternDigraph,
     params: FinderParams,
+    min_degree: Union[int, Fraction],
+    required: str,
 ) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...]]:
-    """Shared driver: returns (outcome, certified cut chain).  A stage
-    failure propagates at scale 1 and becomes the run's FailureTrace on a
-    scaled run; the cuts certified before it are still returned."""
+    """Shared driver: returns (outcome, certified cut chain).  At scale 1 a
+    host whose minimum out-degree is below ``min_degree`` raises
+    InfeasibleDegree, its message ending in ``required``; the count also
+    fills the host's degree memo for the first peel.  A stage failure
+    propagates at scale 1 and becomes the run's FailureTrace on a scaled
+    run; the cuts certified before it are still returned."""
+    min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
+    if params.paper_faithful and min_out < min_degree:
+        raise InfeasibleDegree(f"minimum out-degree {min_out} {required}")
     chain: List[Cut] = []
     try:
         outcome = _embed_pattern(t, pattern, params, chain)
@@ -525,12 +533,10 @@ def find_complete_subdivision_ex(
     if k < 2:
         raise ValueError("k must be at least 2")
     params = (params or FinderParams(k=k)).rescaled(k)
-    min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
-
     if k == 2:
         # A single directed cycle is the whole job; delta+ >= 1 forces a
         # directed triangle.
-        if min_out < 1:
+        if min(universe_degrees(t, t.full_mask)[1], default=0) < 1:
             raise InfeasibleDegree("k=2 needs minimum out-degree at least 1")
         tri = _directed_triangle(t)
         if tri is None:
@@ -540,12 +546,8 @@ def find_complete_subdivision_ex(
         branch = (a, b) if a < b else (b, a)
         return _assemble(t, pattern_complete_digraph(2), branch, {(b, a): (c,)}), ()
 
-    if params.paper_faithful and min_out < params.min_out_degree:
-        raise InfeasibleDegree(
-            f"minimum out-degree {min_out} is below the required "
-            f"{float(params.min_out_degree):.1f}"
-        )
-    return _run_pattern_driver(t, pattern_complete_digraph(k), params)
+    return _run_pattern_driver(t, pattern_complete_digraph(k), params, params.min_out_degree,
+                               f"is below the required {float(params.min_out_degree):.1f}")
 
 
 def find_digraph_subdivision(
@@ -574,10 +576,5 @@ def find_digraph_subdivision_ex(
         branch = [0, 0]
         branch[u], branch[v] = a, b
         return _assemble(t, pattern, tuple(branch), {}), ()
-    min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
-    factor = DEFAULT_DIGRAPH_DEGREE_FACTOR
-    if params.paper_faithful and min_out < factor * len(pattern.edges):
-        raise InfeasibleDegree(
-            f"minimum out-degree {min_out} below {factor} * {len(pattern.edges)} edges"
-        )
-    return _run_pattern_driver(t, pattern, params)
+    factor, edges = DEFAULT_DIGRAPH_DEGREE_FACTOR, len(pattern.edges)
+    return _run_pattern_driver(t, pattern, params, factor * edges, f"below {factor} * {edges} edges")

@@ -26,11 +26,13 @@ with the rows.
 
 The text format is read and written a block of about 32 KB of text at a
 time, so memory is bounded by the block rather than by n^2.  The parser
-checks, hashes and converts a block of rows at once: a canonical block,
-byte for byte what ``format_tournament`` writes, takes the whole-block path,
-and any other block (blank lines, indentation, other line boundaries, bad or
-extra rows, no final newline) goes through the per-line rules.  Writing and
-hashing format a block of rows at a time.
+checks, hashes and converts a block of rows at once, and only a canonical
+block, byte for byte what ``format_tournament`` writes, is accepted.  Any
+other block (blank lines, indentation, other line boundaries, no final
+newline) is stripped line by line and joined back, and takes the same check;
+a block that fails it still (bad or extra rows) only has its rows counted
+and its first bad row named.  Writing and hashing format a block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -386,21 +388,16 @@ def _check_orientation(masks: Sequence[int]) -> None:
         raise ValueError("orientation is not total")
 
 
-def _row_mask(row: str) -> int:
-    """Bitmask of the ``1`` positions of a well-formed row: one ``-``,
-    binary digits elsewhere."""
-    return int(row[::-1].replace("-", "0"), 2)
-
-
-def _row_error(row: str, i: int, n: int) -> ValueError:
-    """The error for matrix row ``i`` when it fails the byte check in
-    ``_RowReader.add_lines``: its length, or its first entry that is not
-    ``-`` on the diagonal and a binary digit elsewhere.  The byte check
-    accepts exactly the rows without such an entry, so the scan always
-    finds one."""
+def _row_error(row: str, i: int, n: int) -> Optional[ValueError]:
+    """The error for matrix row ``i``, None for a valid row: its length, or
+    its first entry that is not ``-`` on the diagonal and a binary digit
+    elsewhere.  These are the per-character rules; a row passes them
+    exactly when it passes ``_RowReader``'s canonical check."""
     if len(row) != n:
         return ValueError(f"row {i} has length {len(row)}, expected {n}")
-    j = next(k for k, ch in enumerate(row) if ch not in ("-" if k == i else "01"))
+    j = next((k for k, ch in enumerate(row) if ch not in ("-" if k == i else "01")), None)
+    if j is None:
+        return None
     if j == i:
         return ValueError(f"diagonal entry ({i},{j}) must be '-'")
     return ValueError(f"bad character {row[j]!r} at ({i},{j})")
@@ -463,10 +460,31 @@ class _RowReader:
 
     def add_block(self, block: str) -> None:
         """Take a block of whole lines, as ``_text_blocks`` cuts them: it
-        ends in ``"\n"`` or holds none.  A canonical block, r rows of n
+        ends in ``"\n"`` or holds none.  A canonical block is taken whole.
+        Any other block is split into lines, stripped, and its non-blank
+        lines joined back into a block of ``"\n"``-ended rows, which takes
+        the same check.  If that fails too, the rows are only counted, and
+        the first one below row n that ``_row_error`` rejects is held.
+
+        The canonical check accepts exactly a run of valid rows that starts
+        at row ``found`` and ends at or before row n - 1, so a joined block
+        that fails it holds a bad row or a row past n - 1.  Either way the
+        parse raises, on the bad row or on the row count, so none of that
+        block's rows needs accepting."""
+        if self._add_canonical(block):
+            return
+        rows = list(filter(None, map(str.strip, block.splitlines())))
+        if self._add_canonical("\n".join(rows) + "\n"):
+            return
+        if self.error is None:
+            errors = map(_row_error, rows, range(self.found, self.n), repeat(self.n))
+            self.error = next(filter(None, errors), None)
+        self.found += len(rows)
+
+    def _add_canonical(self, block: str) -> bool:
+        """Check, hash and convert a canonical block whole, r rows of n
         ASCII characters and a ``"\n"``, each ``0``/``1`` apart from its
-        ``-`` on the diagonal, is checked, hashed and converted whole; any
-        other block goes through ``add_lines``.
+        ``-`` on the diagonal; False, taking nothing, for any other block.
 
         Byte checks find a canonical block of r = len // (n + 1) rows.
         Deleting its binary digits leaves one ``-`` and one ``"\n"`` per
@@ -477,39 +495,20 @@ class _RowReader:
         n - 1 would put its diagonal on a newline, so no extra row passes."""
         n, lo = self.n, self.found
         r = len(block) // (n + 1)
-        if r and block.isascii():
-            raw = block.encode()
-            if (raw.translate(None, b"01") == b"-\n" * r and raw[n::n + 1] == b"\n" * r
-                    and raw[lo::n + 2] == b"-" * r):
-                self.digest.update(raw)
-                # Reversed without its final newline, the block lists its
-                # rows last first, each with bit j at character j from the
-                # right.
-                masks = list(map(int, block.replace("-", "0")[-2::-1].split("\n"), repeat(2)))
-                masks.reverse()
-                self.masks += masks
-                self.found += r
-                return
-        self.add_lines(block.splitlines())
-
-    def add_lines(self, lines: Iterable[str]) -> None:
-        """Take rows one line at a time: surrounding whitespace is stripped
-        and blank lines skipped.  A row is accepted while no row has failed
-        and fewer than n came before it, if it is n ASCII bytes that are
-        ``0``/``1`` apart from one ``-`` at its diagonal."""
-        n = self.n
-        for row in filter(None, map(str.strip, lines)):
-            i = self.found
-            self.found += 1
-            if self.error is not None or i >= n:
-                continue
-            raw = row.encode("ascii", "replace")  # "?" for a character the check rejects
-            if not (len(raw) == n and raw.translate(None, b"01") == b"-" and row[i] == "-"):
-                self.error = _row_error(row, i, n)
-                continue
-            self.digest.update(raw)
-            self.digest.update(b"\n")
-            self.masks.append(_row_mask(row))
+        if not (r and block.isascii()):
+            return False
+        raw = block.encode()
+        if not (raw.translate(None, b"01") == b"-\n" * r and raw[n::n + 1] == b"\n" * r
+                and raw[lo::n + 2] == b"-" * r):
+            return False
+        self.digest.update(raw)
+        # Reversed without its final newline, the block lists its rows last
+        # first, each with bit j at character j from the right.
+        masks = list(map(int, block.replace("-", "0")[-2::-1].split("\n"), repeat(2)))
+        masks.reverse()
+        self.masks += masks
+        self.found += r
+        return True
 
 
 def parse_tournament(text: Union[str, Iterable[str]]) -> Tournament:

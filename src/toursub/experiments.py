@@ -297,6 +297,3 @@ def rows_to_csv(schema: str, config: Dict, rows: List[dict], columns: Sequence[s
 def write_csv(path, schema, config, rows, columns) -> None:
     with open(path, "w") as fh:
         fh.write(rows_to_csv(schema, config, rows, columns))
-
-
-SCAN_DK_COLUMNS = ["n", "seed", "delta_plus", "contains", "nodes", "millis"]

@@ -100,6 +100,10 @@ def exhaustive_tournaments(n: int) -> Iterator[Tournament]:
         yield Tournament(out)
 
 
+# Columns of the rows scan_d_lower returns, in CSV order.
+SCAN_DK_COLUMNS = ["n", "seed", "delta_plus", "contains", "nodes", "millis"]
+
+
 def scan_d_lower(k, n_values, trials, seed, max_len=3, budget=DEFAULT_BUDGET):
     """Containment scan used as empirical evidence about d(k).
 

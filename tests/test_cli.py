@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from toursub import experiments
-from toursub.cli import main
+from toursub.cli import build_parser, main
 from toursub.core import parse_tournament, rotational_tournament
 
 
@@ -268,6 +269,22 @@ def test_help_and_version_exit_0(capsys, argv):
         run(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def choices_of(command, dest):
+    """The choices of argument ``dest`` of the ``command`` subparser."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in commands.choices[command]._actions if a.dest == dest)
+
+
+# Each finder choice list is its table's keys, in order, so the help text
+# and the invalid-choice message list the finders as before.
+@pytest.mark.parametrize("command, table, expected", [
+    ("find", experiments.VERIFY_CAPS, ["complete", "digraph", "tt3", "onesub"]),
+    ("experiment", experiments.SWEEP_COLUMNS, ["complete", "tt3", "onesub"]),
+])
+def test_finder_choices_are_their_table_keys(command, table, expected):
+    assert choices_of(command, "finder") == list(table) == expected
 
 
 GOOD_WITNESS = {"pattern": {"k": 2, "edges": [[0, 1], [1, 0]]}, "branch": [0, 1],

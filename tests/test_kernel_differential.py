@@ -11,13 +11,15 @@ symmetric hosts, where states recur, at strided budgets on two refutations,
 and with the table cleared after every one or three records.
 """
 
+import importlib.util
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toursub._kernel import pure
+from toursub._kernel import pure, search_subdivision
 from toursub.core import (
     blowup_cyclic_triangle,
     random_tournament,
@@ -299,6 +301,49 @@ def test_workload_node_counts_are_pinned(t, spec, max_len, exact_len, status, no
     assert (got[0], got[3]) == (status, nodes)
     if nodes < 100_000:
         assert got == reference_search(*args)
+
+
+# --- the README's search table ----------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+STATUS_NAMES = {NOTFOUND: "not_found", FOUND: "found"}
+
+
+def bench_search_workloads():
+    """The (label, host, spec, max_len, exact_len) workloads of
+    ``benchmarks/bench_search.py``."""
+    spec = importlib.util.spec_from_file_location("bench_search", ROOT / "benchmarks" / "bench_search.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def readme_search_rows():
+    """Label, status and node count of every README table row with a
+    status column."""
+    rows = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and len(cells) > 2 and cells[1] in STATUS_NAMES.values():
+            rows[cells[0].rstrip("\\*")] = (cells[1], int(cells[2].replace(",", "")))
+    return rows
+
+
+def test_readme_search_table_is_the_kernels_answer():
+    # A workload among the pinned oracle queries reads its pinned answer;
+    # only the others are searched.
+    answers = {(tuple(host_masks(t)), spec, max_len, exact_len): (STATUS_NAMES[status], nodes)
+               for t, spec, max_len, exact_len, status, nodes in WORKLOAD_QUERIES}
+    expected = {}
+    for label, host, spec, max_len, exact_len in bench_search_workloads():
+        key = (tuple(host_masks(host)), spec, max_len, exact_len)
+        if key not in answers:
+            pattern = parse_pattern(spec)
+            status, _, _, nodes = search_subdivision(
+                host_masks(host), pattern.k, list(pattern.edges), max_len, exact_len, 10**9)
+            answers[key] = (STATUS_NAMES[status], nodes)
+        expected[label] = answers[key]
+    assert readme_search_rows() == expected
 
 
 # --- the failed-state table -------------------------------------------------------

@@ -405,6 +405,33 @@ def test_parse_of_a_paper_scale_string_streams_its_rows():
     assert peak < 0.6 * t.n ** 2
 
 
+def traced_parse_peak(source):
+    """The parse of ``source`` and the traced peak bytes of making it."""
+    tracemalloc.start()
+    try:
+        parsed = parse_tournament(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return parsed, peak
+
+
+def test_parse_of_noisy_paper_scale_text_streams_its_rows(tmp_path):
+    # Indented rows, trailing blanks and a blank line after every third row:
+    # no block is canonical, so each is stripped, joined and checked again.
+    t = rotational_tournament(2095)
+    lines = format_tournament(t).splitlines()
+    text = "".join(f"  {line} \n" + "\n" * (i % 3 == 0) for i, line in enumerate(lines))
+    path = tmp_path / "noisy.txt"
+    path.write_text(text)
+    with open(path) as fh:
+        runs = [traced_parse_peak(text), traced_parse_peak(fh)]
+    for parsed, peak in runs:
+        assert parsed == t
+        assert tournament_hash(parsed) == LARGE_HOST_HASHES["rotational(2095)"]
+        assert peak < 0.6 * t.n ** 2
+
+
 # --- block edges -------------------------------------------------------------
 
 
