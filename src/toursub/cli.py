@@ -31,6 +31,12 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_BUDGET = 3
 
+# The flags that one experiment alone reads, with their defaults.
+EXPERIMENT_FLAGS = {
+    "scan-dk": {"max_len": 3, "budget": DEFAULT_BUDGET},
+    "soundness-sweep": {"finder": "complete", "scale": Fraction(1, 96), "workers": 1},
+}
+
 
 def _read_tournament(path: str):
     with open(path) as fh:
@@ -210,17 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="batch experiments with CSV output")
-    p.add_argument("experiment", choices=["scan-dk", "soundness-sweep"])
-    p.add_argument("--finder", choices=list(SWEEP_COLUMNS), default="complete")
+    p.add_argument("experiment", choices=list(EXPERIMENT_FLAGS))
+    # A flag that one experiment alone reads is None when omitted: main
+    # fills in its EXPERIMENT_FLAGS default or rejects it for the other.
+    p.add_argument("--finder", choices=list(SWEEP_COLUMNS), help="soundness-sweep only")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n", default="240",
                    help="host size; scan-dk accepts a range like 6..10")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scale", type=_fraction, default=Fraction(1, 96))
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--scale", type=_fraction, help="soundness-sweep only")
+    p.add_argument("--max-len", type=int, help="scan-dk only")
+    p.add_argument("--budget", type=int, help="scan-dk only")
+    p.add_argument("--workers", type=int, help="soundness-sweep only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
     return parser
@@ -236,6 +244,14 @@ def main(argv=None) -> int:
             parser.error("find digraph takes no --k: the order comes from --pattern")
     elif args.command == "find" and args.k is None:
         args.k = 3
+    elif args.command == "experiment":
+        for experiment, flags in EXPERIMENT_FLAGS.items():
+            for dest, default in flags.items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+                elif experiment != args.experiment:
+                    parser.error(f"experiment {args.experiment} takes no "
+                                 f"--{dest.replace('_', '-')}: only {experiment} reads it")
     try:
         return args.func(args)
     except (ToursubError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError

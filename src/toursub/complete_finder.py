@@ -29,12 +29,7 @@ from .errors import (
 )
 from .matching import HalfMatching, HallViolator, half_matching
 from .params import FinderParams
-from .subdivision import (
-    PathWitness,
-    PatternDigraph,
-    Subdivision,
-    pattern_complete_digraph,
-)
+from .subdivision import PatternDigraph, Subdivision, pattern_complete_digraph
 
 __all__ = [
     "BalancedSet",
@@ -352,9 +347,10 @@ def embed_via_cut_chain(
     t: Tournament,
     pairs: Sequence[Tuple[int, int]],
     chain: Sequence[Cut],
-) -> List[PathWitness]:
+) -> List[Tuple[int, int]]:
     """Internally disjoint 3-paths x -> u -> s -> y for the given branch
-    pairs, routing through the certified cuts of the chain.
+    pairs, routing through the certified cuts of the chain; returns each
+    pair's internals (u, s), in ``pairs`` order.
 
     Requires every pair source to have at least 2*len(pairs) out-neighbours
     in the union of the stage cuts.
@@ -386,15 +382,14 @@ def embed_via_cut_chain(
     first = [j for j in range(ell) if (nbr[pairs[j][0]] & u1_mask).bit_count() >= ell]
     second = [j for j in range(ell) if j not in first]
 
-    witnesses: Dict[int, PathWitness] = {}
+    internals: Dict[int, Tuple[int, int]] = {}
     taken = 0
     s_used = set()
     for name, half, u_mask, m in (("first", first, u1_mask, m1), ("second", second, u2_mask, m2)):
         # Partners of sources the first half already took (none at its start).
         blocked = mask_of(u for u, s in m.items() if s in s_used)
         for j in half:
-            x, y = pairs[j]
-            cands = nbr[x] & u_mask & ~taken & ~blocked
+            cands = nbr[pairs[j][0]] & u_mask & ~taken & ~blocked
             if not cands:
                 raise RuntimeError(f"distinct-representative pick ran dry on the {name} half")
             u = (cands & -cands).bit_length() - 1
@@ -403,8 +398,8 @@ def embed_via_cut_chain(
             if s in s_used:
                 raise RuntimeError("source vertex reused across matching halves")
             s_used.add(s)
-            witnesses[j] = PathWitness(x, y, (u, s))
-    return [witnesses[j] for j in range(ell)]
+            internals[j] = (u, s)
+    return [internals[j] for j in range(ell)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +416,9 @@ def _assemble(
     for u, v in pattern.edges:
         hu, hv = branch[u], branch[v]
         if (hu, hv) in path_map:
-            paths[(u, v)] = PathWitness(hu, hv, path_map[(hu, hv)])
+            paths[(u, v)] = path_map[(hu, hv)]
         elif t.has_edge(hu, hv):
-            paths[(u, v)] = PathWitness(hu, hv, ())
+            paths[(u, v)] = ()
         else:
             raise RuntimeError(f"no path and no direct edge for pattern edge ({u},{v})")
     return Subdivision(pattern=pattern, branch=branch, paths=paths)
@@ -508,8 +503,7 @@ def _embed_pattern(
     # route through the cut chain.
     remaining = [p for p in _needed_pairs(t, pattern, branch) if p not in path_map]
     if remaining:
-        for w in embed_via_cut_chain(t, remaining, chain):
-            path_map[(w.from_v, w.to_v)] = w.internals
+        path_map.update(zip(remaining, embed_via_cut_chain(t, remaining, chain)))
     return _assemble(t, pattern, branch, path_map)
 
 

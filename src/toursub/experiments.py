@@ -253,8 +253,7 @@ def sweep(
     first = {kind: kinds.index(kind) for kind in SEEDLESS_KINDS.intersection(kinds)}
     source = [first.get(kind, i) for i, kind in enumerate(kind_of)]  # the trial each row copies
     computed = [i for i, s in enumerate(source) if s == i]
-    # Fraction(str(scale)) reads a float scale as its shortest decimal.
-    trial = partial(_instance, finder, FinderParams(k, Fraction(str(scale))), str(scale), n, seed)
+    trial = partial(_instance, finder, FinderParams(k, scale), str(scale), n, seed)
     jobs = [(i, kind_of[i]) for i in computed]
     from . import _workers  # loaded by a sweep only, not at every CLI start
 

@@ -7,12 +7,13 @@ subdivision exists under the given length caps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import _kernel
 from .core import Tournament
-from .subdivision import PatternDigraph, PathWitness, Subdivision
+from .subdivision import PatternDigraph, Subdivision
 
 __all__ = [
     "OracleQuery",
@@ -63,23 +64,29 @@ def oracle_subdivision(t: Tournament, query: OracleQuery) -> OracleOutcome:
     """Decide whether ``t`` contains a subdivision of the query pattern with
     every path length within the caps.  Exact for any answer other than
     budget_exceeded."""
-    status, branch, internals, nodes = _kernel.search_subdivision(
-        [t.out_mask(v) for v in t.vertices()],
-        query.pattern.k,
-        list(query.pattern.edges),
-        query.max_len,
-        query.exact_len,
-        query.node_budget,
-    )
+    pattern = query.pattern
+    try:
+        status, branch, internals, nodes = _kernel.search_subdivision(
+            [t.out_mask(v) for v in t.vertices()],
+            pattern.k,
+            list(pattern.edges),
+            query.max_len,
+            query.exact_len,
+            query.node_budget,
+        )
+    except RecursionError:
+        # The kernel recurses once per branch vertex and once per path or
+        # path vertex placed, so a large pattern outgrows the stack limit.
+        raise ValueError(
+            f"pattern with {pattern.k} vertices and {len(pattern.edges)} edges needs a "
+            f"deeper search than the recursion limit ({sys.getrecursionlimit()}) allows"
+        ) from None
     if status == _kernel.BUDGET_EXCEEDED:
         return OracleOutcome("budget_exceeded", None, nodes)
     if status == _kernel.NOTFOUND:
         return OracleOutcome("not_found", None, nodes)
-    paths = {}
-    for edge, chain in zip(query.pattern.edges, internals):
-        u, v = edge
-        paths[edge] = PathWitness(branch[u], branch[v], tuple(chain))
-    sub = Subdivision(pattern=query.pattern, branch=tuple(branch), paths=paths)
+    paths = {edge: tuple(chain) for edge, chain in zip(pattern.edges, internals)}
+    sub = Subdivision(pattern=pattern, branch=tuple(branch), paths=paths)
     return OracleOutcome("found", sub, nodes)
 
 

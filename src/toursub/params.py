@@ -48,7 +48,9 @@ class FinderParams:
         if self.k < 1:
             raise ValueError("k must be positive")
         if not isinstance(self.scale, Fraction):
-            object.__setattr__(self, "scale", Fraction(self.scale))
+            # Read through str, so a float scale is its shortest decimal:
+            # 0.1 is 1/10, not the binary fraction nearest it.
+            object.__setattr__(self, "scale", Fraction(str(self.scale)))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .core import Tournament, tournament_hash
 
@@ -18,7 +18,6 @@ __all__ = [
     "pattern_complete_digraph",
     "pattern_transitive",
     "parse_pattern",
-    "PathWitness",
     "Subdivision",
     "VerifyReport",
     "verify",
@@ -98,47 +97,29 @@ def parse_pattern(spec: str) -> PatternDigraph:
 
 
 @dataclass(frozen=True)
-class PathWitness:
-    """A directed path between two branch vertices; internals may be empty."""
-
-    from_v: int
-    to_v: int
-    internals: Tuple[int, ...] = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.internals) + 1
-
-    def hops(self) -> Iterable[Tuple[int, int]]:
-        seq = (self.from_v, *self.internals, self.to_v)
-        return zip(seq, seq[1:])
-
-
-@dataclass(frozen=True)
 class Subdivision:
+    """A branch map plus one directed path per pattern edge.  ``paths`` maps
+    each pattern edge (u, v) to the internal vertices of its path from
+    ``branch[u]`` to ``branch[v]``; a direct host edge maps to ``()``.  The
+    path's ends are the branch vertices by definition, so they are not stored."""
+
     pattern: PatternDigraph
     branch: Tuple[int, ...]
-    paths: Dict[Tuple[int, int], PathWitness]
+    paths: Dict[Tuple[int, int], Tuple[int, ...]]
 
     @property
     def l1(self) -> int:
         """Number of paths of length 2."""
-        return sum(1 for p in self.paths.values() if p.length == 2)
+        return sum(1 for p in self.paths.values() if len(p) == 1)
 
     @property
     def l2(self) -> int:
         """Number of paths of length 3."""
-        return sum(1 for p in self.paths.values() if p.length == 3)
+        return sum(1 for p in self.paths.values() if len(p) == 2)
 
     @property
     def span(self) -> int:
-        return len(self.branch) + sum(len(p.internals) for p in self.paths.values())
-
-    def internal_vertices(self) -> list:
-        out = []
-        for key in sorted(self.paths):
-            out.extend(self.paths[key].internals)
-        return out
+        return len(self.branch) + sum(len(p) for p in self.paths.values())
 
 
 @dataclass(frozen=True)
@@ -187,19 +168,14 @@ def verify(
 
     seen_internal: Dict[int, Tuple[int, int]] = {}
     for edge in sorted(sub.paths):
-        path = sub.paths[edge]
-        u, v = edge
-        if u < k and v < k and len(sub.branch) == k:
-            if path.from_v != sub.branch[u]:
-                bad.append(f"path {edge} starts at {path.from_v}, branch maps {u} -> {sub.branch[u]}")
-            if path.to_v != sub.branch[v]:
-                bad.append(f"path {edge} ends at {path.to_v}, branch maps {v} -> {sub.branch[v]}")
+        internals = sub.paths[edge]
+        length = len(internals) + 1
         if exact_len is not None:
-            if path.length != exact_len:
-                bad.append(f"path {edge} has length {path.length}, cap is exactly {exact_len}")
-        elif path.length > max_len:
-            bad.append(f"path {edge} has length {path.length} > cap {max_len}")
-        for w in path.internals:
+            if length != exact_len:
+                bad.append(f"path {edge} has length {length}, cap is exactly {exact_len}")
+        elif length > max_len:
+            bad.append(f"path {edge} has length {length} > cap {max_len}")
+        for w in internals:
             if not (0 <= w < t.n):
                 bad.append(f"path {edge}: internal {w} out of range")
                 continue
@@ -208,9 +184,13 @@ def verify(
             if w in seen_internal and seen_internal[w] != edge:
                 bad.append(f"internal {w} reused by {seen_internal[w]} and {edge}")
             seen_internal[w] = edge
-        if len(set(path.internals)) != len(path.internals):
+        if len(set(internals)) != len(internals):
             bad.append(f"path {edge} repeats an internal vertex")
-        for a, b in path.hops():
+        u, v = edge
+        if not (0 <= u < len(sub.branch) and 0 <= v < len(sub.branch)):
+            continue  # reported above: not a pattern edge, or a short branch map
+        hops = (sub.branch[u], *internals, sub.branch[v])
+        for a, b in zip(hops, hops[1:]):
             if not (0 <= a < t.n and 0 <= b < t.n):
                 continue
             if a == b:
@@ -242,9 +222,8 @@ def min_span(pattern: PatternDigraph) -> int:
 def witness_to_json(t: Tournament, sub: Subdivision) -> dict:
     """Witness document: pattern, branch map, per-edge internals, host hash."""
     paths = []
-    for edge in sorted(sub.paths):
-        p = sub.paths[edge]
-        paths.append({"from": p.from_v, "to": p.to_v, "internals": list(p.internals)})
+    for (u, v), internals in sorted(sub.paths.items()):
+        paths.append({"from": sub.branch[u], "to": sub.branch[v], "internals": list(internals)})
     return {
         "pattern": {"k": sub.pattern.k, "edges": [list(e) for e in sub.pattern.edges]},
         "branch": list(sub.branch),
@@ -301,7 +280,7 @@ def witness_from_json(doc) -> Tuple[Subdivision, str]:
             raise ValueError(f"path endpoints {from_v},{to_v} not in branch")
         if (u, v) in paths:
             raise ValueError(f"duplicate path for pattern edge ({u},{v})")
-        paths[(u, v)] = PathWitness(from_v, to_v, internals)
+        paths[(u, v)] = internals
     host_hash = doc.get("host_hash", "")
     if not isinstance(host_hash, str):
         raise ValueError(f"witness host_hash must be a string, got {host_hash!r}")

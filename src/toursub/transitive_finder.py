@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .core import Tournament, _try_short_path, bits_of, first_window, mask_of, universe_degrees
 from .errors import BallTooLarge, FailureTrace, InfeasibleSize, StageFailure, TooSmall
 from .params import FinderParams
-from .subdivision import PathWitness, Subdivision, pattern_transitive
+from .subdivision import Subdivision, pattern_transitive
 
 __all__ = [
     "NearlyRegularSet",
@@ -173,7 +173,7 @@ def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
         branch = tuple(islice(bits_of(uni), k))
         if k == 2 and not t.has_edge(*branch):
             branch = branch[::-1]
-        return Subdivision(pattern, branch, {(0, 1): PathWitness(*branch)} if k == 2 else {})
+        return Subdivision(pattern, branch, {(0, 1): ()} if k == 2 else {})
 
     try:
         near = find_nearly_regular_k(t, k, uni)
@@ -185,7 +185,7 @@ def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
     # forward host edges double as length-1 paths wherever possible.
     used = mask_of(near.vertices)
     sigma = sorted(near.vertices, key=lambda v: (-(t.out_mask(v) & used).bit_count(), v))
-    paths: Dict[Tuple[int, int], PathWitness] = {}
+    paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for i in range(k):
         for j in range(i + 1, k):
             x, y = sigma[i], sigma[j]
@@ -193,7 +193,7 @@ def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
             if internals is None:
                 return _tt3_split(t, uni, k, x, y, used)
             used |= mask_of(internals)
-            paths[(i, j)] = PathWitness(x, y, internals)
+            paths[(i, j)] = internals
     return Subdivision(pattern, tuple(sigma), paths)
 
 
@@ -233,12 +233,12 @@ def _join(first: Subdivision, second: Subdivision,
     (u, v) of branch vertices (hx, hy) gets the internals ``cross(u, v, hx, hy)``,
     asked in (u, v) order."""
     shift = len(first.branch)
-    paths: Dict[Tuple[int, int], PathWitness] = dict(first.paths)
-    for (u, v), w in second.paths.items():
-        paths[(u + shift, v + shift)] = w
+    paths = dict(first.paths)
+    for (u, v), internals in second.paths.items():
+        paths[(u + shift, v + shift)] = internals
     for u, hx in enumerate(first.branch):
         for v, hy in enumerate(second.branch):
-            paths[(u, shift + v)] = PathWitness(hx, hy, cross(u, v, hx, hy))
+            paths[(u, shift + v)] = cross(u, v, hx, hy)
     branch = first.branch + second.branch
     return Subdivision(pattern_transitive(len(branch)), branch, paths)
 
@@ -535,8 +535,7 @@ def _onesub_base(t: Tournament, uni: int, k: int) -> Subdivision:
                        stage="base-transitive", n=uni.bit_count(), k=k)
     branch = tuple(chain[v * (v + 3) // 2] for v in range(k))
     pattern = pattern_transitive(k)
-    paths = {(u, v): PathWitness(branch[u], branch[v], (chain[v * (v + 1) // 2 + u],))
-             for u, v in pattern.edges}
+    paths = {(u, v): (chain[v * (v + 1) // 2 + u],) for u, v in pattern.edges}
     return Subdivision(pattern, branch, paths)
 
 
@@ -561,7 +560,8 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
     # Join: every cross pair gets a fresh midpoint from the whole universe.
     used = 0
     for sub in (first, second):
-        used |= mask_of(sub.branch) | mask_of(sub.internal_vertices())
+        used |= mask_of(sub.branch)
+        used |= mask_of(w for internals in sub.paths.values() for w in internals)
     # Cross pairs sit in different aux-graph components with the first-half
     # vertex earlier in the degree order, so their 2-path candidate pool is
     # at least (threshold - 2) / 2 before exclusions.

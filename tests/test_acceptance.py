@@ -62,7 +62,7 @@ def test_acceptance_1_d2_equals_one_exhaustively():
                 sub = find_complete_subdivision(t, 2)
                 rep = verify(t, sub, max_len=3)
                 assert rep.valid
-                assert all(len(p.internals) <= 2 for p in sub.paths.values())
+                assert all(len(p) <= 2 for p in sub.paths.values())
             else:
                 with pytest.raises(InfeasibleDegree):
                     find_complete_subdivision(t, 2)

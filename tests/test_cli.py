@@ -1,12 +1,14 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
 from toursub import experiments
 from toursub.cli import build_parser, main
 from toursub.core import parse_tournament, rotational_tournament
+from toursub.subdivision import VerifyReport
 
 
 def run(argv):
@@ -131,6 +133,25 @@ def test_oracle_witness_file(tmp_path):
                 "--max-len", "3"]) == 0
 
 
+def test_a_deep_oracle_query_is_an_error_not_a_traceback(tmp_path, capsys):
+    # The kernel recurses once per pattern edge: transitive:45 has 990 edges,
+    # more than the interpreter's default recursion limit allows.
+    host = tmp_path / "t.txt"
+    run(["gen", "--kind", "transitive", "--n", "60", "--out", str(host)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default
+    try:
+        code = run(["oracle", "--input", str(host), "--pattern", "transitive:45",
+                    "--max-len", "1"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pattern with 45 vertices and 990 edges needs a deeper")
+    assert captured.err.count("\n") == 1
+
+
 def test_find_digraph_pattern(tmp_path):
     host = tmp_path / "t.txt"
     wit = tmp_path / "w.json"
@@ -201,6 +222,18 @@ def test_find_runs_each_finder_once_through_the_shared_run(tmp_path, monkeypatch
         assert calls == [SHARED_FINDERS[finder]]
 
 
+@pytest.mark.parametrize("finder", ["complete", "tt3", "onesub"])
+def test_find_without_k_reads_3(tmp_path, finder):
+    host = tmp_path / "t.txt"
+    run(["gen", "--kind", "random", "--n", "60", "--seed", "3", "--out", str(host)])
+    assert FIND_ARGS[finder][:2] == ["--k", "3"]
+    outs = []
+    for argv in (FIND_ARGS[finder], FIND_ARGS[finder][2:]):
+        outs.append(tmp_path / f"w{len(outs)}.json")
+        assert run(["find", finder, "--input", str(host), *argv, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 SWEEP_ARGS = {
     "complete": ["--k", "3", "--n", "120", "--scale", "1/96"],
     "tt3": ["--k", "4", "--n", "170", "--scale", "1/12"],
@@ -231,6 +264,44 @@ def test_experiment_scan_dk_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[3] == "n,seed,delta_plus,contains,nodes,millis"
     assert len(lines) == 4 + 6
+
+
+def test_an_unsound_sweep_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "verify",
+                        lambda *args, **caps: VerifyReport(False, ("planted",), 0, 0, 0))
+    out = tmp_path / "s.csv"
+    code = run(["experiment", "soundness-sweep", "--finder", "tt3", *SWEEP_ARGS["tt3"],
+                "--trials", "2", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "2/2 witnesses; soundness violations: 2\n"
+    assert captured.err == ("  UNSOUND: instance 0: ('planted',)\n"
+                            "  UNSOUND: instance 1: ('planted',)\n")
+    assert [line.split(",")[8] for line in out.read_text().splitlines()[4:]] == ["0", "0"]
+
+
+SCAN_DK = ["scan-dk", "--k", "2", "--n", "4", "--trials", "3"]
+SOUNDNESS_SWEEP = ["soundness-sweep", "--finder", "tt3", "--k", "2", "--trials", "2", "--n", "80"]
+
+
+# Each experiment rejects the flags only the other one reads, instead of
+# ignoring them; without them both runs exit 0.
+@pytest.mark.parametrize("argv, flag, reader", [
+    (SOUNDNESS_SWEEP + ["--max-len", "1"], "--max-len", "scan-dk"),
+    (SOUNDNESS_SWEEP + ["--budget", "1"], "--budget", "scan-dk"),
+    (SCAN_DK + ["--finder", "onesub"], "--finder", "soundness-sweep"),
+    (SCAN_DK + ["--scale", "1/2"], "--scale", "soundness-sweep"),
+    (SCAN_DK + ["--workers", "9"], "--workers", "soundness-sweep"),
+])
+def test_experiment_rejects_the_other_experiments_flags(tmp_path, capsys, argv, flag, reader):
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", *argv, "--out", str(out)])
+    assert exc.value.code == 1
+    message = f"experiment {argv[0]} takes no {flag}: only {reader} reads it"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["experiment", *argv[:-2], "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

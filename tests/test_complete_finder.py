@@ -411,25 +411,23 @@ def test_embed_single_pair():
     chain = (Cut(cut=mask_of({2, 4}), source=mask_of({3}), sink=mask_of({0, 1}),
                  m_prime={2: 3}, m_dprime={4: 3}),)
     wits = embed_via_cut_chain(EMBED_ONE, [(0, 1)], chain)
-    assert [(w.from_v, w.internals, w.to_v) for w in wits] == [(0, (2, 3), 1)]
+    assert wits == [(2, 3)]
 
 
 def test_embed_two_pairs_sharing_source():
     t = _two_pair_host()
     chain = (Cut(cut=mask_of({3, 4, 5, 6}), source=mask_of({7, 8}),
                  sink=mask_of({0, 1, 2}), m_prime={3: 7, 5: 8}, m_dprime={4: 7, 6: 8}),)
-    wits = embed_via_cut_chain(t, [(0, 1), (0, 2)], chain)
-    assert [(w.from_v, w.internals, w.to_v) for w in wits] == [
-        (0, (3, 7), 1),
-        (0, (5, 8), 2),
-    ]
+    pairs = [(0, 1), (0, 2)]
+    wits = embed_via_cut_chain(t, pairs, chain)
+    assert wits == [(3, 7), (5, 8)]
     # disjoint internals, valid hops
     used = set()
-    for w in wits:
-        for z in w.internals:
+    for (x, y), internals in zip(pairs, wits):
+        for z in internals:
             assert z not in used
             used.add(z)
-        hops = (w.from_v, *w.internals, w.to_v)
+        hops = (x, *internals, y)
         for a, b in zip(hops, hops[1:]):
             assert t.has_edge(a, b)
 
@@ -450,7 +448,7 @@ def test_k2_is_a_directed_cycle():
         sub = find_complete_subdivision(t, 2)
         rep = verify(t, sub, max_len=3)
         assert rep.valid
-        assert all(len(p.internals) <= 2 for p in sub.paths.values())
+        assert all(len(p) <= 2 for p in sub.paths.values())
 
 
 def test_k2_needs_positive_out_degree():
@@ -474,7 +472,7 @@ def test_k3_scaled_on_blowup():
     rep = verify(t, sub, max_len=3)
     assert rep.valid
     assert rep.span >= 6
-    assert all(len(p.internals) <= 2 for p in sub.paths.values())
+    assert all(len(p) <= 2 for p in sub.paths.values())
 
 
 def test_k3_scaled_soundness_across_hosts():
@@ -485,7 +483,7 @@ def test_k3_scaled_soundness_across_hosts():
         assert not isinstance(out, FailureTrace)
         rep = verify(t, out, max_len=3)
         assert rep.valid
-        assert all(len(p.internals) <= 2 for p in out.paths.values())
+        assert all(len(p) <= 2 for p in out.paths.values())
 
 
 def test_chain_stages_are_certified_on_structured_hosts():
@@ -542,7 +540,7 @@ def test_digraph_cycle_on_cyclic_triangle():
     sub = find_digraph_subdivision(t, pattern, FinderParams(3, Fraction(1, 100)))
     rep = verify(t, sub, max_len=3)
     assert rep.valid
-    assert all(p.length == 1 for p in sub.paths.values())
+    assert all(p == () for p in sub.paths.values())
 
 
 def test_digraph_rejects_isolated_vertices():
@@ -583,14 +581,14 @@ def test_paper_scale_success_on_qualifying_hosts():
     rep = verify(host, sub, max_len=3)
     assert rep.valid
     assert rep.span >= min_span(pattern_complete_digraph(3))
-    assert all(len(p.internals) <= 2 for p in sub.paths.values())
+    assert all(len(p) <= 2 for p in sub.paths.values())
 
     host4 = rotational_tournament(3593)  # delta+ = 1796 = 2*16 + 147*12
     sub4 = find_complete_subdivision(host4, 4)
     rep4 = verify(host4, sub4, max_len=3)
     assert rep4.valid
     assert rep4.span >= min_span(pattern_complete_digraph(4))
-    assert all(len(p.internals) <= 2 for p in sub4.paths.values())
+    assert all(len(p) <= 2 for p in sub4.paths.values())
 
 
 def test_span_never_below_lower_bound_in_sweeps():

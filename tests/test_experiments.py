@@ -62,6 +62,15 @@ def test_sweep_complete_rows_and_soundness():
             assert r["verify_ok"] == 1
 
 
+def test_a_trial_that_raises_a_package_error_is_an_error_row():
+    # At scale 1 no 240-vertex sweep host meets the complete k=3 finder's
+    # out-degree precondition, which raises InfeasibleDegree.
+    rows, chains, bad = sweep("complete", k=3, trials=4, n=240, scale=Fraction(1), seed=1)
+    assert [(r["outcome"], r["stage"]) for r in rows] == [("error", "InfeasibleDegree")] * 4
+    assert all(r["chain_stages"] == r["max_cut"] == 0 for r in rows)
+    assert chains == [] and bad == []
+
+
 def test_sweep_determinism_and_worker_independence():
     args = dict(k=3, trials=8, n=120, scale=Fraction(1, 96), seed=9)
     rows1, _, _ = sweep("complete", **args)

@@ -60,6 +60,12 @@ def test_validation():
     assert p.rescaled(5) is p
 
 
+def test_a_float_scale_reads_as_its_shortest_decimal():
+    # The sweep's rule: 0.1 is 1/10, not the binary fraction nearest it.
+    assert FinderParams(3, 0.1).scale == Fraction(1, 10)
+    assert FinderParams(3, 2).scale == 2
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_integer_ceiling_decides_every_bound_exactly(k):
     # The finders compare integer counts against math.ceil of a bound: for

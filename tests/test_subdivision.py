@@ -4,7 +4,6 @@ import pytest
 
 from toursub.core import Tournament, transitive_tournament
 from toursub.subdivision import (
-    PathWitness,
     PatternDigraph,
     Subdivision,
     dump_witness,
@@ -28,8 +27,8 @@ def k2_witness():
         pattern=pattern,
         branch=(0, 1),
         paths={
-            (0, 1): PathWitness(0, 1, ()),
-            (1, 0): PathWitness(1, 0, (2,)),
+            (0, 1): (),
+            (1, 0): (2,),
         },
     )
 
@@ -89,9 +88,9 @@ def test_verify_one_subdivision_of_t3():
         pattern=pattern_transitive(3),
         branch=(0, 2, 5),
         paths={
-            (0, 1): PathWitness(0, 2, (1,)),
-            (0, 2): PathWitness(0, 5, (3,)),
-            (1, 2): PathWitness(2, 5, (4,)),
+            (0, 1): (1,),
+            (0, 2): (3,),
+            (1, 2): (4,),
         },
     )
     rep = verify(t, sub, max_len=2, exact_len=2)
@@ -105,9 +104,9 @@ def test_verify_collects_all_violations():
         pattern=pattern_transitive(3),
         branch=(0, 0, 4),  # collision
         paths={
-            (0, 1): PathWitness(0, 0, (3,)),
+            (0, 1): (3,),
             # (0, 2) missing entirely
-            (1, 2): PathWitness(0, 4, (3,)),  # reuses 3, and hops 3->4 ok, 0->3 ok
+            (1, 2): (3,),  # reuses 3, and hops 3->4 ok, 0->3 ok
         },
     )
     rep = verify(t, sub, max_len=3)
@@ -123,7 +122,7 @@ def test_verify_detects_missing_hop_and_bad_direction():
     sub = Subdivision(
         pattern=pattern_transitive(2),
         branch=(3, 0),
-        paths={(0, 1): PathWitness(3, 0, (2,))},  # 3->2 is not an edge
+        paths={(0, 1): (2,)},  # 3->2 is not an edge
     )
     rep = verify(t, sub, max_len=3)
     assert not rep.valid
@@ -135,16 +134,27 @@ def test_verify_length_cap():
     sub = Subdivision(
         pattern=pattern_transitive(2),
         branch=(0, 5),
-        paths={(0, 1): PathWitness(0, 5, (1, 2, 3))},
+        paths={(0, 1): (1, 2, 3)},
     )
     assert verify(t, sub, max_len=4).valid
     rep = verify(t, sub, max_len=3)
     assert not rep.valid and any("> cap" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("key", [(0, 5), (5, 0), (-1, 0), (0, -2)])
+def test_verify_is_total_on_a_path_keyed_outside_the_branch(key):
+    # Read through the branch map, (-1, 0) would be the missing hop 1 -> 0
+    # and (0, -2) the degenerate hop 0 -> 0; (0, 5) and (5, 0) index past it.
+    sub = k2_witness()
+    sub = Subdivision(sub.pattern, sub.branch, {**sub.paths, key: ()})
+    rep = verify(cyclic_triangle(), sub, max_len=3)
+    assert not rep.valid
+    assert rep.violations == (f"path for {key} is not a pattern edge",)
+
+
 def test_counts_match_recomputation():
     sub = k2_witness()
-    lens = [p.length for p in sub.paths.values()]
+    lens = [len(p) + 1 for p in sub.paths.values()]
     assert sub.l1 == lens.count(2)
     assert sub.l2 == lens.count(3)
     assert sub.l1 + sub.l2 <= len(sub.pattern.edges)

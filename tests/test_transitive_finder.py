@@ -334,9 +334,9 @@ def test_onesub_base_case_layout():
     out = find_one_subdivision(t, 3, FinderParams(3, Fraction(1, 10**7)))
     assert not isinstance(out, FailureTrace)
     assert out.branch == (0, 2, 5)
-    assert out.paths[(0, 1)].internals == (1,)
-    assert out.paths[(0, 2)].internals == (3,)
-    assert out.paths[(1, 2)].internals == (4,)
+    assert out.paths[(0, 1)] == (1,)
+    assert out.paths[(0, 2)] == (3,)
+    assert out.paths[(1, 2)] == (4,)
     assert verify(t, out, max_len=2, exact_len=2).valid
 
 
@@ -369,7 +369,7 @@ def test_onesub_k2_on_three_vertices():
     out = find_one_subdivision(t, 2, FinderParams(2, Fraction(1, 10**7)))
     assert not isinstance(out, FailureTrace)
     assert out.branch == (0, 2)
-    assert out.paths[(0, 1)].internals == (1,)
+    assert out.paths[(0, 1)] == (1,)
 
 
 def test_onesub_recursive_soundness():
