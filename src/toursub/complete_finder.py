@@ -16,19 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Cut, Tournament, _try_short_path, bits_of, first_window, mask_of, universe_degrees
-from .errors import (
-    CutInvalid,
-    FailureTrace,
-    InfeasibleDegree,
-    InsufficientOutNeighbours,
-    StageFailure,
-    TooSmall,
-)
+from .errors import FailureTrace, InfeasibleDegree, StageFailure
 from .matching import HalfMatching, HallViolator, half_matching
-from .params import FinderParams
+from .params import FinderParams, fixed
 from .subdivision import PatternDigraph, Subdivision, pattern_complete_digraph
 
 __all__ = [
@@ -83,7 +76,7 @@ def find_balanced_set(
     k = params.k
     alpha = params.alpha_for(size)
     if alpha < 1:
-        raise TooSmall(
+        raise StageFailure(
             f"size {size} gives alpha {float(alpha):.3f} < 1 "
             f"(need at least {float(params.balanced_min_size):.1f})",
             stage="balanced-set", universe=size,
@@ -95,12 +88,12 @@ def find_balanced_set(
     in_degrees = [size - 1 - d for d in out_degrees]
     reach = sum(map(floor.__le__, in_degrees))
     if reach < k:
-        raise TooSmall(f"only {reach} vertices reach the in-degree floor",
-                       stage="balanced-set", universe=size)
+        raise StageFailure(f"only {reach} vertices reach the in-degree floor",
+                           stage="balanced-set", universe=size)
     window = first_window(vertices, in_degrees, max(0, floor), width, k)
     if window is None:
-        raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
-                       stage="balanced-set", universe=size)
+        raise StageFailure(f"no width-{width} in-degree window holds {k} vertices",
+                           stage="balanced-set", universe=size)
     start, chosen = window
     chosen_degrees = [size - 1 - (t.out_mask(v) & uni).bit_count() for v in chosen]
     dmin, dmax = min(chosen_degrees), max(chosen_degrees)
@@ -210,7 +203,8 @@ def greedy_partial_subdivision(
     On a stuck pair, run the 2-path-maximizing exchange to a fixpoint; at a
     genuine fixpoint either the partial is already large enough
     (4(l1+l2) + 6*slack > m) or the stuck pair yields a disconnecting cut
-    whose source side is big.  May raise CutInvalid under scaled parameters.
+    whose source side is big.  Under scaled parameters the cut may fail
+    ``validate_cut``, which raises a ``derive-cut`` StageFailure.
 
     Returns (state, cut): ``cut`` is None when every pair embedded or the
     partial is large enough, else the stuck pair's validated cut.
@@ -274,10 +268,9 @@ def derive_cut(t: Tournament, state: GreedyPartial, failed: Tuple[int, int]) -> 
 def validate_cut(cut: Cut, k: int) -> None:
     """Size requirements from the dichotomy: |S| >= |U| + k and sink >= k."""
     ns, nu, nw = cut.source.bit_count(), cut.cut.bit_count(), cut.sink.bit_count()
-    if ns < nu + k:
-        raise CutInvalid("source smaller than cut + k", ns, nu, nw)
-    if nw < k:
-        raise CutInvalid("sink smaller than k", ns, nu, nw)
+    if ns < nu + k or nw < k:
+        reason = "source smaller than cut + k" if ns < nu + k else "sink smaller than k"
+        raise StageFailure(reason, stage="derive-cut", source=ns, cut=nu, sink=nw)
 
 
 def minimize_cut(t: Tournament, cut: Cut) -> Cut:
@@ -377,7 +370,8 @@ def embed_via_cut_chain(
         nbr[x] = t.out_mask(x) & u_all
         have = nbr[x].bit_count()
         if have < 2 * ell:
-            raise InsufficientOutNeighbours(x, have, 2 * ell)
+            raise StageFailure(f"vertex {x} has {have} out-neighbours, needs {2 * ell}",
+                               stage="cut-chain-embedding", vertex=x, have=have, need=2 * ell)
 
     first = [j for j in range(ell) if (nbr[pairs[j][0]] & u1_mask).bit_count() >= ell]
     second = [j for j in range(ell) if j not in first]
@@ -435,23 +429,25 @@ def _directed_triangle(t: Tournament) -> Optional[Tuple[int, int, int]]:
 
 def _run_pattern_driver(
     t: Tournament,
-    pattern: PatternDigraph,
+    k: int,
+    make_pattern: Callable[[], PatternDigraph],
     params: FinderParams,
     min_degree: Union[int, Fraction],
-    required: str,
+    required: Callable[[], str],
 ) -> Tuple[Union[Subdivision, FailureTrace], Tuple[Cut, ...]]:
-    """Shared driver: returns (outcome, certified cut chain).  At scale 1 a
-    host whose minimum out-degree is below ``min_degree`` raises
-    InfeasibleDegree, its message ending in ``required``; the count also
-    fills the host's degree memo for the first peel.  A stage failure
-    propagates at scale 1 and becomes the run's FailureTrace on a scaled
-    run; the cuts certified before it are still returned."""
+    """Shared driver for the order-k pattern that ``make_pattern`` builds:
+    returns (outcome, certified cut chain).  At scale 1 a host whose minimum
+    out-degree is below ``min_degree`` raises InfeasibleDegree, its message
+    ending in ``required()``; the count also fills the host's degree memo
+    for the first peel.  A stage failure propagates at scale 1 and becomes
+    the run's FailureTrace on a scaled run; the cuts certified before it are
+    still returned."""
     min_out = min(universe_degrees(t, t.full_mask)[1], default=0)
     if params.paper_faithful and min_out < min_degree:
-        raise InfeasibleDegree(f"minimum out-degree {min_out} {required}")
+        raise InfeasibleDegree(f"minimum out-degree {min_out} {required()}")
     chain: List[Cut] = []
     try:
-        outcome = _embed_pattern(t, pattern, params, chain)
+        outcome = _embed_pattern(t, k, make_pattern, params, chain)
     except StageFailure as exc:
         if params.paper_faithful:
             raise
@@ -461,19 +457,23 @@ def _run_pattern_driver(
 
 def _embed_pattern(
     t: Tournament,
-    pattern: PatternDigraph,
+    k: int,
+    make_pattern: Callable[[], PatternDigraph],
     params: FinderParams,
     chain: List[Cut],
 ) -> Subdivision:
     """Branch-set search, dichotomy, cut chain, completion.  Appends each
-    certified cut to ``chain`` as it is made."""
-    k = pattern.k
+    certified cut to ``chain`` as it is made.  The pattern is built once k
+    vertices are known to fit, so an order past the host's allocates none."""
     universe = t.full_mask
+    pattern = None
 
     for _round in range(t.n + 1):
         uni_size = universe.bit_count()
         if uni_size < k:
-            raise TooSmall("working tournament shrank below k", stage="iterate", size=uni_size)
+            raise StageFailure("working tournament shrank below k", stage="iterate", size=uni_size)
+        if pattern is None:
+            pattern = make_pattern()
         peeled, kept = peel_low_outdegree(t, params, universe)
         if len(peeled) == k:
             # Terminal: k low-out-degree vertices become the branch set and
@@ -540,8 +540,9 @@ def find_complete_subdivision_ex(
         branch = (a, b) if a < b else (b, a)
         return _assemble(t, pattern_complete_digraph(2), branch, {(b, a): (c,)}), ()
 
-    return _run_pattern_driver(t, pattern_complete_digraph(k), params, params.min_out_degree,
-                               f"is below the required {float(params.min_out_degree):.1f}")
+    return _run_pattern_driver(
+        t, k, lambda: pattern_complete_digraph(k), params, params.min_out_degree,
+        lambda: f"is below the required {fixed(params.min_out_degree, 1)}")
 
 
 def find_digraph_subdivision(
@@ -571,4 +572,5 @@ def find_digraph_subdivision_ex(
         branch[u], branch[v] = a, b
         return _assemble(t, pattern, tuple(branch), {}), ()
     factor, edges = DEFAULT_DIGRAPH_DEGREE_FACTOR, len(pattern.edges)
-    return _run_pattern_driver(t, pattern, params, factor * edges, f"below {factor} * {edges} edges")
+    return _run_pattern_driver(t, pattern.k, lambda: pattern, params, factor * edges,
+                               lambda: f"below {factor} * {edges} edges")

@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
-__all__ = ["ceil_k74", "FinderParams"]
+__all__ = ["ceil_k74", "fixed", "FinderParams"]
 
 
 def ceil_k74(k: int) -> int:
@@ -23,12 +23,18 @@ def ceil_k74(k: int) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     target = k**7
-    t = round(k**1.75)
-    while t**4 < target:
-        t += 1
-    while t > 0 and (t - 1) ** 4 >= target:
-        t -= 1
-    return t
+    t = math.isqrt(math.isqrt(target))  # the fourth root, rounded down
+    return t if t**4 == target else t + 1
+
+
+def fixed(x: Union[Fraction, int], places: int) -> str:
+    """``x`` with ``places`` decimals as ``f"{float(x):.{places}f}"`` writes
+    it, or, past the float range, ``x`` rounded to ``places`` decimals."""
+    try:
+        return f"{float(x):.{places}f}"
+    except OverflowError:
+        digits = str(round(x * 10**places))
+        return f"{digits[:-places]}.{digits[-places:]}" if places else digits
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,14 @@ class FinderParams:
     @cached_property
     def onesub_min_size(self) -> float:
         """1-subdivision size gate: 1e7 k^2 ln^3 k, scaled (float: ln is
-        transcendental; the gate is only an admission check)."""
+        transcendental; the gate is only an admission check).  A size past
+        the float range reads as infinity."""
         if self.k < 2:
             return 0.0
-        return float(self.scale) * 1e7 * self.k**2 * math.log(self.k) ** 3
+        try:
+            return float(self.scale) * 1e7 * self.k**2 * math.log(self.k) ** 3
+        except OverflowError:
+            return math.inf
 
     def rescaled(self, k: int) -> "FinderParams":
         """The same scale for order k (``self`` when k already matches)."""

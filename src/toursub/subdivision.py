@@ -159,11 +159,12 @@ def verify(
             bad.append(f"branch collision: host vertex {v} used twice")
         branch_set.add(v)
 
+    pattern_edges = set(sub.pattern.edges)
     for edge in sub.pattern.edges:
         if edge not in sub.paths:
             bad.append(f"pattern edge {edge} has no path")
     for edge in sub.paths:
-        if edge not in sub.pattern.edges:
+        if edge not in pattern_edges:
             bad.append(f"path for {edge} is not a pattern edge")
 
     seen_internal: Dict[int, Tuple[int, int]] = {}

@@ -31,8 +31,8 @@ from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import Tournament, _try_short_path, bits_of, first_window, mask_of, universe_degrees
-from .errors import BallTooLarge, FailureTrace, InfeasibleSize, StageFailure, TooSmall
-from .params import FinderParams
+from .errors import FailureTrace, InfeasibleSize, StageFailure
+from .params import FinderParams, fixed
 from .subdivision import Subdivision, pattern_transitive
 
 __all__ = [
@@ -94,12 +94,12 @@ def find_nearly_regular(t: Tournament, universe: Optional[int] = None) -> Nearly
     uni = t.full_mask if universe is None else universe
     n = uni.bit_count()
     if n < 10:
-        raise TooSmall("nearly-regular extraction needs at least 10 vertices",
-                       stage="nearly-regular")
+        raise StageFailure("nearly-regular extraction needs at least 10 vertices",
+                           stage="nearly-regular")
     out_side, in_side = _ratio_set(t, uni)
     ratio_count = len(set(out_side) | set(in_side))
     if 5 * ratio_count < n:
-        raise TooSmall(
+        raise StageFailure(
             f"bounded-ratio set has {ratio_count} < n/5 vertices; "
             "host is too lopsided for the nearly-regular argument",
             stage="nearly-regular",
@@ -118,8 +118,8 @@ def find_nearly_regular_k(t: Tournament, k: int, universe: Optional[int] = None)
     uni = t.full_mask if universe is None else universe
     n = uni.bit_count()
     if n < DEGREE_WINDOW_FACTOR * k:
-        raise TooSmall(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
-                       stage="nearly-regular")
+        raise StageFailure(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
+                           stage="nearly-regular")
     base_set = find_nearly_regular(t, uni)
     width = DEGREE_WINDOW_FACTOR * k
     # find_nearly_regular has just counted every degree in the universe; the
@@ -129,8 +129,8 @@ def find_nearly_regular_k(t: Tournament, k: int, universe: Optional[int] = None)
     in_degrees = [n - 1 - d for v, d in zip(vertices, degrees) if v in chosen]
     window = first_window(base_set.vertices, in_degrees, 0, width, k)
     if window is None:
-        raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
-                       stage="nearly-regular")
+        raise StageFailure(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
+                           stage="nearly-regular")
     start, chosen = window
     return NearlyRegularSet(
         vertices=tuple(chosen),
@@ -156,7 +156,7 @@ def find_tt_len3(
     params = (params or FinderParams(k=k)).rescaled(k)
     if params.paper_faithful and t.n < params.tt3_min_size:
         raise InfeasibleSize(
-            f"{t.n} vertices is below the required {float(params.tt3_min_size):.0f}"
+            f"{t.n} vertices is below the required {fixed(params.tt3_min_size, 0)}"
         )
     try:
         return _tt3_recurse(t, t.full_mask, k)
@@ -165,19 +165,18 @@ def find_tt_len3(
 
 
 def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
-    pattern = pattern_transitive(k)
     n = uni.bit_count()
     if n < k:
-        raise TooSmall("fewer vertices than k", stage="recursion-size", n=n, k=k)
+        raise StageFailure("fewer vertices than k", stage="recursion-size", n=n, k=k)
     if k <= 2:
         branch = tuple(islice(bits_of(uni), k))
         if k == 2 and not t.has_edge(*branch):
             branch = branch[::-1]
-        return Subdivision(pattern, branch, {(0, 1): ()} if k == 2 else {})
+        return Subdivision(pattern_transitive(k), branch, {(0, 1): ()} if k == 2 else {})
 
     try:
         near = find_nearly_regular_k(t, k, uni)
-    except TooSmall as exc:
+    except StageFailure as exc:
         exc.details.update(n=n, k=k)
         raise
 
@@ -194,7 +193,7 @@ def _tt3_recurse(t: Tournament, uni: int, k: int) -> Subdivision:
                 return _tt3_split(t, uni, k, x, y, used)
             used |= mask_of(internals)
             paths[(i, j)] = internals
-    return Subdivision(pattern, tuple(sigma), paths)
+    return Subdivision(pattern_transitive(k), tuple(sigma), paths)
 
 
 def _tt3_split(t: Tournament, uni: int, k: int, x: int, y: int, used: int) -> Subdivision:
@@ -219,8 +218,8 @@ def _tt3_split(t: Tournament, uni: int, k: int, x: int, y: int, used: int) -> Su
     # transitive order because every edge runs B -> A.
     kb, ka = (k_big, k_small) if b_size >= a_size else (k_small, k_big)
     if b_size < kb or a_size < ka or kb < 1 or ka < 1:
-        raise TooSmall("stuck-pair split leaves a side too small", stage="recursion-size",
-                       A=a_size, B=b_size, need_A=ka, need_B=kb)
+        raise StageFailure("stuck-pair split leaves a side too small", stage="recursion-size",
+                           A=a_size, B=b_size, need_A=ka, need_B=kb)
     first = _tt3_recurse(t, b_mask, kb)
     second = _tt3_recurse(t, a_mask, ka)
     return _join(first, second, lambda u, v, hx, hy: ())
@@ -276,8 +275,9 @@ def build_aux_graph(
     buckets: Dict[int, List[int]] = {}
     for v, d in enumerate(degrees):
         buckets.setdefault(d, []).append(v)
+    # Two out-degrees inside the universe differ by less than its size.
     for dx, xs in buckets.items():
-        for gap in range(0 if threshold > 2 else 1, threshold):
+        for gap in range(0 if threshold > 2 else 1, min(threshold, len(rows))):
             ys = buckets.get(dx + gap)
             if ys is None:
                 continue
@@ -305,7 +305,8 @@ def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
     n / (5 ln n) vertices; the removed set obeys the same bound.
 
     Requires every explored ball interior to stay below the bound (checked
-    as the BFS runs); BallTooLarge carries the violating vertex and radius.
+    as the BFS runs); its ``aux-graph-precondition`` StageFailure carries the
+    violating vertex and radius.
     Natural logarithm throughout.
 
     Each BFS stops at the first level that is sparse relative to the grown
@@ -337,7 +338,7 @@ def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
         while True:
             r += 1
             if r > radius_cap:
-                raise BallTooLarge(start, r - 1, len(ball), bound)
+                break
             nxt = []
             for v in level:
                 for w in adj[v]:
@@ -348,8 +349,12 @@ def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
                 break
             ball.extend(nxt)
             level = nxt
-        if len(ball) > bound:
-            raise BallTooLarge(start, r - 1, len(ball), bound)
+        if r > radius_cap or len(ball) > bound:
+            raise StageFailure(
+                f"ball of radius {r - 1} around {start} has {len(ball)} vertices,"
+                f" bound {bound:.3f}",
+                stage="aux-graph-precondition", vertex=start, radius=r - 1, size=len(ball),
+            )
         if not nxt:
             # The BFS exhausted a small component: it is finished.
             for v in ball:
@@ -531,8 +536,8 @@ def _onesub_base(t: Tournament, uni: int, k: int) -> Subdivision:
     need = k + k * (k - 1) // 2
     chain = transitive_chain(t, uni)
     if len(chain) < need:
-        raise TooSmall(f"transitive chain of {len(chain)} < {need} vertices",
-                       stage="base-transitive", n=uni.bit_count(), k=k)
+        raise StageFailure(f"transitive chain of {len(chain)} < {need} vertices",
+                           stage="base-transitive", n=uni.bit_count(), k=k)
     branch = tuple(chain[v * (v + 3) // 2] for v in range(k))
     pattern = pattern_transitive(k)
     paths = {(u, v): (chain[v * (v + 1) // 2 + u],) for u, v in pattern.edges}
@@ -552,8 +557,8 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
     k_second = k // 2
     left, right = part.x_cap_a1, part.y_cap_a2
     if left.bit_count() < k_first or right.bit_count() < k_second:
-        raise TooSmall("component split leaves a side too small", stage="recursion-size",
-                       left=left.bit_count(), right=right.bit_count(), k=k)
+        raise StageFailure("component split leaves a side too small", stage="recursion-size",
+                           left=left.bit_count(), right=right.bit_count(), k=k)
     first = _onesub_recurse(t, left, k_first, params.rescaled(k_first))
     second = _onesub_recurse(t, right, k_second, params.rescaled(k_second))
 
@@ -577,8 +582,8 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
             )
         cands = pool & ~used
         if not cands:
-            raise TooSmall(f"no free midpoint for cross pair ({u},{v})",
-                           stage="cross-pair-exhaustion", x=hx, y=hy)
+            raise StageFailure(f"no free midpoint for cross pair ({u},{v})",
+                               stage="cross-pair-exhaustion", x=hx, y=hy)
         z = (cands & -cands).bit_length() - 1
         used |= 1 << z
         return (z,)

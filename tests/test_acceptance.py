@@ -20,7 +20,7 @@ from toursub.core import (
     rotational_tournament,
     transitive_tournament,
 )
-from toursub.errors import BallTooLarge, InfeasibleDegree
+from toursub.errors import InfeasibleDegree, StageFailure
 from toursub.experiments import (
     COMPLETE_COLUMNS,
     TT_COLUMNS,
@@ -293,8 +293,9 @@ def test_acceptance_8_ball_separator_bounds():
         removals += len(out.removed)
     for size in (60, 100):
         g = adjacency(size, [(i, j) for i in range(size) for j in range(i + 1, size)])
-        with pytest.raises(BallTooLarge):
+        with pytest.raises(StageFailure) as info:
             ball_decomposition(g)
+        assert info.value.stage == "aux-graph-precondition"
     _report(8, f"200 qualifying graphs decomposed ({removals} vertices removed in total); "
                "complete graphs rejected")
 

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
 import json
+import signal
 import sys
+from contextlib import contextmanager
 
 import pytest
 
-from toursub import experiments
+from toursub import complete_finder, experiments, transitive_finder
 from toursub.cli import build_parser, main
 from toursub.core import parse_tournament, rotational_tournament
 from toursub.subdivision import VerifyReport
@@ -108,6 +110,59 @@ def test_find_failure_bytes(tmp_path, capsys, gen_args, find_args, failure):
     capsys.readouterr()
     assert run(["find", find_args[0], "--input", str(host), *find_args[1:]]) == 2
     assert capsys.readouterr().out == json.dumps({"failure": failure}, indent=2) + "\n"
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test if the block still runs after ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def random40(tmp_path):
+    host = tmp_path / "r40.txt"
+    assert run(["gen", "--kind", "random", "--n", "40", "--seed", "0", "--out", str(host)]) == 0
+    return str(host)
+
+
+def no_pattern(k):
+    raise AssertionError(f"built a pattern of order {k}")
+
+
+@pytest.mark.parametrize("finder, message", [
+    ("complete", f"minimum out-degree 12 is below the required {2 * 10**400 + 147 * 10**350}.0"),
+    ("tt3", f"40 vertices is below the required {150 * 10**400}"),
+    ("onesub", "40 vertices is below the required inf"),
+], ids=["complete", "tt3", "onesub"])
+def test_a_huge_k_gets_its_gate_message(tmp_path, capsys, monkeypatch, finder, message):
+    host = random40(tmp_path)
+    # Built before the gate, a pattern of order 10^200 would never be done.
+    monkeypatch.setattr(complete_finder, "pattern_complete_digraph", no_pattern)
+    monkeypatch.setattr(transitive_finder, "pattern_transitive", no_pattern)
+    capsys.readouterr()
+    assert run(["find", finder, "--input", host, "--k", str(10**200)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("finder, k, scale", [("complete", "3", "1000000"), ("onesub", "4", "1000")])
+def test_a_scale_past_the_float_range_reads_as_a_large_one(tmp_path, capsys, finder, k, scale):
+    # complete: the gate message, formatted on a scaled run too, overflowed;
+    # onesub: the aux graph tried every degree gap below its 2k^2 threshold.
+    host = random40(tmp_path)
+    outputs = []
+    for s in (scale, "1e400"):
+        capsys.readouterr()
+        with deadline(30):
+            assert run(["find", finder, "--input", host, "--k", k, "--scale", s]) == 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
 
 
 def test_oracle_exit_codes(tmp_path):

@@ -32,13 +32,7 @@ from toursub.core import (
     rotational_tournament,
     transitive_tournament,
 )
-from toursub.errors import (
-    CutInvalid,
-    FailureTrace,
-    InfeasibleDegree,
-    InsufficientOutNeighbours,
-    TooSmall,
-)
+from toursub.errors import FailureTrace, InfeasibleDegree, StageFailure
 from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.subdivision import PatternDigraph, pattern_complete_digraph, verify
@@ -66,8 +60,9 @@ def test_balanced_set_on_regular_host():
 
 
 def test_balanced_set_too_small_at_paper_scale():
-    with pytest.raises(TooSmall):
+    with pytest.raises(StageFailure) as info:
         find_balanced_set(transitive_tournament(10), FinderParams(3))
+    assert info.value.stage == "balanced-set"
 
 
 def test_balanced_set_invariants_on_random_host():
@@ -196,14 +191,16 @@ def test_derive_cut_on_transitive_host():
     cut = derive_cut(t, state, (9, 0))
     assert cut.cut == mask_of(range(10))
     assert cut.source == 0 and cut.sink == 0
-    with pytest.raises(CutInvalid):
+    with pytest.raises(StageFailure) as info:
         validate_cut(cut, 2)
+    assert info.value.stage == "derive-cut"
 
 
 def test_greedy_propagates_cut_invalid():
     t = transitive_tournament(10)
-    with pytest.raises(CutInvalid):
+    with pytest.raises(StageFailure) as info:
         greedy_partial_subdivision(t, free_balanced((0, 9)), FinderParams(2, Fraction(1, 2)))
+    assert info.value.stage == "derive-cut"
 
 
 def _cut_outcomes(count=5):
@@ -217,7 +214,7 @@ def _cut_outcomes(count=5):
         bal = find_balanced_set(t, params)
         try:
             _, cut = greedy_partial_subdivision(t, bal, params)
-        except (CutInvalid, RuntimeError):
+        except (StageFailure, RuntimeError):
             continue
         if cut is not None:
             found.append((t, cut))
@@ -435,9 +432,10 @@ def test_embed_two_pairs_sharing_source():
 def test_embed_insufficient_out_neighbours():
     chain = (Cut(cut=mask_of({2}), source=mask_of({3}), sink=mask_of({0, 1}),
                  m_prime={2: 3}),)
-    with pytest.raises(InsufficientOutNeighbours) as info:
+    with pytest.raises(StageFailure) as info:
         embed_via_cut_chain(EMBED_ONE, [(0, 1)], chain)
-    assert info.value.vertex == 0 and info.value.have == 1 and info.value.need == 2
+    assert info.value.stage == "cut-chain-embedding"
+    assert info.value.details == {"vertex": 0, "have": 1, "need": 2}
 
 
 # --- drivers ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ degree once per window, the ratio set's chained comparisons, and the
 component partition with list membership.  Each new routine must return
 exactly what its reference returns: the same vertices and degrees, the same
 adjacency lists in the same order, the same chain, the same branch set or
-the same ``TooSmall``, the same sides, the same families.
+the same ``StageFailure``, the same sides, the same families.
 """
 
 import math
@@ -30,7 +30,7 @@ from toursub.core import (
     transitive_tournament,
     universe_degrees,
 )
-from toursub.errors import TooSmall
+from toursub.errors import StageFailure
 from toursub.experiments import SWEEP_KINDS, build_host, sweep
 from toursub.params import FinderParams
 from toursub.transitive_finder import (
@@ -94,7 +94,7 @@ def reference_balanced_set(t, params, universe=None):
     k = params.k
     alpha = params.alpha_for(size)
     if alpha < 1:
-        raise TooSmall(
+        raise StageFailure(
             f"size {size} gives alpha {float(alpha):.3f} < 1 "
             f"(need at least {float(params.balanced_min_size):.1f})",
             stage="balanced-set", universe=size,
@@ -107,8 +107,8 @@ def reference_balanced_set(t, params, universe=None):
         if d >= floor:
             degs[v] = d
     if len(degs) < k:
-        raise TooSmall(f"only {len(degs)} vertices reach the in-degree floor",
-                       stage="balanced-set", universe=size)
+        raise StageFailure(f"only {len(degs)} vertices reach the in-degree floor",
+                           stage="balanced-set", universe=size)
     top = max(degs.values())
     start = max(0, floor)
     while start <= top:
@@ -125,16 +125,16 @@ def reference_balanced_set(t, params, universe=None):
                 window=(start, start + width - 1),
             )
         start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} vertices",
-                   stage="balanced-set", universe=size)
+    raise StageFailure(f"no width-{width} in-degree window holds {k} vertices",
+                       stage="balanced-set", universe=size)
 
 
 def reference_nearly_regular_k(t, k):
     if k < 1:
         raise ValueError("k must be positive")
     if t.n < DEGREE_WINDOW_FACTOR * k:
-        raise TooSmall(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
-                       stage="nearly-regular")
+        raise StageFailure(f"need at least {DEGREE_WINDOW_FACTOR * k} vertices for k={k}",
+                           stage="nearly-regular")
     base_set = transitive_finder.find_nearly_regular(t)
     width = DEGREE_WINDOW_FACTOR * k
     start = 0
@@ -148,8 +148,8 @@ def reference_nearly_regular_k(t, k):
                 m=start + width // 2,
             )
         start += width
-    raise TooSmall(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
-                   stage="nearly-regular")
+    raise StageFailure(f"no width-{width} in-degree window holds {k} nearly-regular vertices",
+                       stage="nearly-regular")
 
 
 def reference_partition(t, components):
@@ -201,8 +201,8 @@ def reference_first_window(degrees, start, width, k):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except TooSmall as exc:
-        return ("TooSmall", str(exc), exc.stage, exc.details)
+    except StageFailure as exc:
+        return ("StageFailure", str(exc), exc.stage, exc.details)
 
 
 # --- strategies --------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_balanced_set_no_window_is_too_small():
     t = transitive_tournament(80)
     params = FinderParams(3, Fraction(1, 96))
     assert params.window_width == 1
-    expected = ("TooSmall", "no width-1 in-degree window holds 3 vertices",
+    expected = ("StageFailure", "no width-1 in-degree window holds 3 vertices",
                 "balanced-set", {"universe": 80})
     assert outcome(find_balanced_set, t, params) == expected
     assert outcome(reference_balanced_set, t, params) == expected
@@ -420,7 +420,7 @@ def test_nearly_regular_k_no_window_is_too_small(monkeypatch):
     spread = NearlyRegularSet(tuple(range(0, 100, 20)), 4, "out")
     monkeypatch.setattr(transitive_finder, "find_nearly_regular",
                         lambda _t, _universe=None: spread)
-    expected = ("TooSmall", "no width-20 in-degree window holds 2 nearly-regular vertices",
+    expected = ("StageFailure", "no width-20 in-degree window holds 2 nearly-regular vertices",
                 "nearly-regular", {})
     assert outcome(find_nearly_regular_k, t, 2) == expected
     assert outcome(reference_nearly_regular_k, t, 2) == expected

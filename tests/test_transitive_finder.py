@@ -12,7 +12,7 @@ from toursub.core import (
     rotational_tournament,
     transitive_tournament,
 )
-from toursub.errors import BallTooLarge, FailureTrace, TooSmall
+from toursub.errors import FailureTrace, StageFailure
 from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.subdivision import verify
@@ -71,8 +71,9 @@ def test_nearly_regular_on_random_host():
 
 
 def test_nearly_regular_needs_ten_vertices():
-    with pytest.raises(TooSmall):
+    with pytest.raises(StageFailure) as info:
         find_nearly_regular(transitive_tournament(9))
+    assert info.value.stage == "nearly-regular"
 
 
 def test_nearly_regular_k_on_regular_host():
@@ -83,8 +84,9 @@ def test_nearly_regular_k_on_regular_host():
 
 
 def test_nearly_regular_k_too_small():
-    with pytest.raises(TooSmall):
+    with pytest.raises(StageFailure) as info:
         find_nearly_regular_k(random_tournament(29, 0), 3)
+    assert info.value.stage == "nearly-regular"
 
 
 def test_nearly_regular_k_window_bound():
@@ -219,10 +221,11 @@ def test_ball_decomposition_disjoint_edges():
 
 def test_ball_decomposition_complete_graph():
     g = adjacency(100, [(i, j) for i in range(100) for j in range(i + 1, 100)])
-    with pytest.raises(BallTooLarge) as info:
+    with pytest.raises(StageFailure) as info:
         ball_decomposition(g)
-    assert info.value.radius == 1
-    assert info.value.size == 100
+    assert info.value.stage == "aux-graph-precondition"
+    assert info.value.details["radius"] == 1
+    assert info.value.details["size"] == 100
 
 
 def test_ball_decomposition_short_path_violates_precondition():
@@ -230,8 +233,9 @@ def test_ball_decomposition_short_path_violates_precondition():
     # <= 200/(5 ln 200) ~ 7.5 by removing <= 7 vertices, so the ball
     # precondition must fail.
     g = adjacency(200, [(i, i + 1) for i in range(199)])
-    with pytest.raises(BallTooLarge):
+    with pytest.raises(StageFailure) as info:
         ball_decomposition(g)
+    assert info.value.stage == "aux-graph-precondition"
 
 
 def test_ball_decomposition_long_path():
@@ -251,7 +255,8 @@ def test_ball_decomposition_components_are_exact():
     g = adjacency(3000, [(i, i + 1) for i in range(2999) if (i + 1) % 9])
     try:
         out = ball_decomposition(g)
-    except BallTooLarge:
+    except StageFailure as exc:
+        assert exc.stage == "aux-graph-precondition"
         pytest.skip("instance misses the precondition")
     alive = set(range(3000)) - set(out.removed)
     seen = set()
@@ -343,20 +348,22 @@ def test_onesub_base_case_layout():
 def test_onesub_base_layout_for_every_k():
     # One chain layout for every k: on the transitive host it uses exactly
     # k + k(k-1)/2 vertices; on seeded sweep hosts it succeeds whenever the
-    # chain is long enough and raises TooSmall otherwise.
+    # chain is long enough and raises a base-transitive StageFailure otherwise.
     for k in range(2, 9):
         need = k + k * (k - 1) // 2
         t = transitive_tournament(need)
         assert verify(t, _onesub_base(t, t.full_mask, k), max_len=2, exact_len=2).valid
-        with pytest.raises(TooSmall):
+        with pytest.raises(StageFailure) as info:
             _onesub_base(t, t.full_mask & ~1, k)
+        assert info.value.stage == "base-transitive"
         witnesses = 0
         for kind in SWEEP_KINDS:
             for seed in range(2):
                 t = build_host(kind, 120, seed)
                 if len(transitive_chain(t)) < need:
-                    with pytest.raises(TooSmall):
+                    with pytest.raises(StageFailure) as info:
                         _onesub_base(t, t.full_mask, k)
+                    assert info.value.stage == "base-transitive"
                     continue
                 out = _onesub_base(t, t.full_mask, k)
                 assert verify(t, out, max_len=2, exact_len=2).valid

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toursub.core import Tournament, bits_of, induced, mask_of, transitive_tournament
-from toursub.errors import TooSmall
+from toursub.errors import StageFailure
 from toursub.experiments import SWEEP_KINDS, build_host
 from toursub.params import FinderParams
 from toursub.transitive_finder import (
@@ -52,8 +52,8 @@ def hosts_and_universes(draw):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except TooSmall as exc:
-        return ("TooSmall", str(exc), exc.stage, exc.details)
+    except StageFailure as exc:
+        return ("StageFailure", str(exc), exc.stage, exc.details)
     except ValueError as exc:
         return ("ValueError", str(exc))
 
