@@ -82,7 +82,7 @@ def find_balanced_set(
             stage="balanced-set", universe=size,
         )
     # An integer reaches a rational exactly when it reaches its ceiling.
-    floor = math.ceil(params.deg_floor(alpha))
+    floor = params.balanced_floor(size)
     width = params.window_width
     vertices, out_degrees = universe_degrees(t, uni)
     in_degrees = [size - 1 - d for d in out_degrees]

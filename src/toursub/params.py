@@ -93,14 +93,24 @@ class FinderParams:
         return self.scale * (2 * self.k**2 + 24 * self.k74)
 
     def alpha_for(self, size: int) -> Fraction:
-        """Exact alpha solving size = scale * (2 a k^2 + (20 a + 4) k^(7/4))."""
-        return (Fraction(size) / self.scale - 4 * self.k74) / (
-            2 * self.k**2 + 20 * self.k74
-        )
+        """Exact alpha solving size = scale * (2 a k^2 + (20 a + 4) k^(7/4)):
+        with scale p/q, (q size - 4p k^(7/4)) / (p (2k^2 + 20 k^(7/4)))."""
+        p, q = self.scale.numerator, self.scale.denominator
+        return Fraction(q * size - 4 * p * self.k74, p * (2 * self.k**2 + 20 * self.k74))
 
     def deg_floor(self, alpha: Union[Fraction, int]) -> Fraction:
         """In-degree floor for balanced-set candidates: alpha k^2 + 2 k^(7/4)."""
         return self.scale * (alpha * self.k**2 + 2 * self.k74)
+
+    def balanced_floor(self, size: int) -> int:
+        """``ceil(deg_floor(alpha_for(size)))``, the least integer in-degree
+        that reaches the floor, in integer arithmetic.  With scale p/q and
+        D = 2k^2 + 20 k^(7/4), alpha is (q size - 4p k^(7/4)) / (p D), so the
+        floor is (k^2 (q size - 4p k^(7/4)) + 2p k^(7/4) D) / (q D)."""
+        p, q = self.scale.numerator, self.scale.denominator
+        k2, k74 = self.k**2, self.k74
+        d = 2 * k2 + 20 * k74
+        return -(-(k2 * (q * size - 4 * p * k74) + 2 * p * k74 * d) // (q * d))
 
     @cached_property
     def tt3_min_size(self) -> Fraction:

@@ -313,6 +313,11 @@ def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
     ball; the ball interior then splits off as a finished component, so every
     vertex is explored a bounded number of times and million-vertex sparse
     graphs decompose quickly.
+
+    A start with an empty adjacency list becomes a singleton component with
+    no BFS: its BFS would stop at radius 1 having found nothing, and its
+    one-vertex ball passes the size check exactly when the bound is at
+    least 1 (n >= 13), so below that the BFS runs and raises as before.
     """
     n = len(adj)
     if n < 2:
@@ -327,9 +332,14 @@ def ball_decomposition(adj: Sequence[Sequence[int]]) -> BallDecomposition:
     # Every alive vertex is eventually either finalized by a BFS that
     # exhausts its (small) component, or split off inside a ball interior.
     pending = list(range(n - 1, -1, -1))
+    singletons_fit = bound >= 1
     while pending:
         start = pending.pop()
         if state[start] != ALIVE:
+            continue
+        if singletons_fit and not adj[start]:
+            state[start] = DONE
+            components.append(frozenset((start,)))
             continue
         level = [start]
         seen = {start}
@@ -458,10 +468,16 @@ def partition_components(
 # 1-subdivisions
 
 
-def transitive_chain(t: Tournament, universe: Optional[int] = None) -> List[int]:
+def transitive_chain(t: Tournament, universe: Optional[int] = None,
+                     length: Optional[int] = None) -> List[int]:
     """Greedy transitive subtournament: repeatedly take a maximum-out-degree
     vertex (the lowest one among ties) and descend into its
     out-neighbourhood (at least log2 n long).
+
+    With ``length``, the chain stops after that many picks.  A pick reads
+    only the set the earlier picks left, so the first picks do not depend on
+    later steps: the answer is the full chain's first ``length`` vertices,
+    or the whole chain when it is shorter.
 
     Degrees inside the current set are kept with one bitmask bucket per
     degree, so a pick is the lowest bit of the highest non-empty bucket.
@@ -471,10 +487,11 @@ def transitive_chain(t: Tournament, universe: Optional[int] = None) -> List[int]
     recounted.
     """
     cur = t.full_mask if universe is None else universe
+    length = t.n if length is None else length
     deg = [0] * t.n
     chain = []
     stale = True
-    while cur:
+    while cur and len(chain) < length:
         if stale:
             vertices, degrees = universe_degrees(t, cur)
             buckets = [0] * len(vertices)
@@ -532,9 +549,12 @@ def _onesub_base(t: Tournament, uni: int, k: int) -> Subdivision:
     order, branch vertex v - 1 is followed by the midpoints of the edges
     (u, v), u < v, at v(v+1)/2 + u, and then by branch vertex v at v(v+3)/2;
     every chain edge points forward, so each u -> mid -> v is a 2-path.
+    Only those first ``need`` vertices are placed, and the chain's first
+    picks do not depend on its later ones, so the chain is built only that
+    far; a shorter one is the whole chain, whose length the failure reports.
     """
     need = k + k * (k - 1) // 2
-    chain = transitive_chain(t, uni)
+    chain = transitive_chain(t, uni, need)
     if len(chain) < need:
         raise StageFailure(f"transitive chain of {len(chain)} < {need} vertices",
                            stage="base-transitive", n=uni.bit_count(), k=k)
@@ -550,7 +570,7 @@ def _onesub_recurse(t: Tournament, uni: int, k: int, params: FinderParams) -> Su
 
     decomp = ball_decomposition(build_aux_graph(t, k, params, uni))
     verts = universe_degrees(t, uni)[0]  # the aux graph's listing, from the memo
-    comps = [mask_of(verts[v] for v in c) for c in decomp.components]
+    comps = [mask_of(map(verts.__getitem__, c)) for c in decomp.components]
     part = partition_components(t, comps, uni)
 
     k_first = -(-k // 2)  # ceil(k/2): top half of the degree order

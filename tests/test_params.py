@@ -81,3 +81,18 @@ def test_integer_ceiling_decides_every_bound_exactly(k):
             for x in range(math.floor(bound) - 2, c + 3):
                 assert (x < bound) == (x < c)
                 assert (x >= bound) == (x >= c)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_balanced_floor_is_the_ceiling_of_the_rational_floor(k):
+    # balanced_floor and alpha_for work in integers; both must give what the
+    # Fraction arithmetic gives, below the alpha = 1 point as well as above.
+    for scale in (Fraction(1), Fraction(1, 96), Fraction(1, 12), Fraction(7, 3)):
+        p = FinderParams(k, scale)
+        edge = math.ceil(p.balanced_min_size)
+        sizes = set(range(0, 10**4 + 1, 97)) | {10**4} | set(range(max(0, edge - 3), edge + 4))
+        assert any(p.alpha_for(size) < 1 for size in sizes)
+        for size in sorted(sizes):
+            alpha = (Fraction(size) / p.scale - 4 * p.k74) / (2 * k**2 + 20 * p.k74)
+            assert p.alpha_for(size) == alpha
+            assert p.balanced_floor(size) == math.ceil(p.deg_floor(p.alpha_for(size)))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,56 @@ def test_onesub_base_layout_for_every_k():
                 assert verify(t, out, max_len=2, exact_len=2).valid
                 witnesses += 1
         assert witnesses >= 10
+
+
+def test_a_chain_stopped_at_length_is_the_full_chains_prefix():
+    rng = random.Random(31)
+    for kind in SWEEP_KINDS:
+        for n in (10, 37, 200):
+            t = build_host(kind, n, n)
+            for universe in (None, t.full_mask, rng.getrandbits(t.n), rng.getrandbits(t.n)):
+                full = transitive_chain(t, universe)
+                for length in range(len(full) + 3):
+                    assert transitive_chain(t, universe, length) == full[:length]
+
+
+class PickCountingTournament(Tournament):
+    """Counts ``out_mask`` reads: on a transitive host the chain reads one
+    row per pick and drops no in-neighbour, so the count is its steps."""
+
+    def __init__(self, out_masks):
+        super().__init__(out_masks)
+        self.reads = 0
+
+    def out_mask(self, v):
+        self.reads += 1
+        return super().out_mask(v)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_onesub_base_builds_only_the_chain_it_places(k):
+    need = k + k * (k - 1) // 2
+    host = transitive_tournament(2000)
+    t = PickCountingTournament([host.out_mask(v) for v in host.vertices()])
+    out = _onesub_base(t, t.full_mask, k)
+    assert t.reads <= need
+    assert out.branch == tuple(v * (v + 3) // 2 for v in range(k))
+    assert verify(t, out, max_len=2, exact_len=2).valid
+
+
+@pytest.mark.parametrize("t, k, length", [
+    (transitive_tournament(5), 3, 5),
+    (cyclic_triangle(), 2, 2),
+    (random_tournament(40, 1), 4, 9),
+])
+def test_a_short_chain_reports_its_full_length(t, k, length):
+    need = k + k * (k - 1) // 2
+    assert len(transitive_chain(t)) == length < need
+    with pytest.raises(StageFailure) as info:
+        _onesub_base(t, t.full_mask, k)
+    assert str(info.value) == f"transitive chain of {length} < {need} vertices"
+    assert info.value.stage == "base-transitive"
+    assert info.value.details == {"n": t.n, "k": k}
 
 
 def test_onesub_k2_on_three_vertices():
