@@ -12,6 +12,21 @@ edge (out-neighbours of its tail, in-neighbours of its head, their meet,
 the direct edge) depend only on its two branch vertices, so they are
 computed when the larger of its ends is placed, not at every path search.
 
+Two shortcuts leave every node count as it was.  At lengths up to 2, a
+placement y of branch vertex i passes the check of an edge x -> i, x
+placed, iff y is in ``out[x]`` (length 1 allowed) or in ``out[z]`` for a
+free z in ``out[x]`` (length 2; z is not y, as y is not in ``out[y]``);
+``inm`` replaces ``out`` when i is the tail.  So each check's admitted set
+is built once before i's candidates, and a candidate outside it fails that
+check and counts one node with nothing below it.  Each run of such
+candidates is counted with one ``bit_count`` before the next admitted one
+(or at the end), and a run that passes the budget stops at ``budget + 1``,
+as the node-by-node count does; admitted candidates need no further check.
+In the edge phase, a 0 estimate means an edge has no direct edge, no
+midpoint, and no free first or no free last internal for a longer path, so
+the state fails with no node below it: the scan of estimates stops there,
+and the state is recorded as before.
+
 Failed embedding states are recorded (nogood recording; Dechter,
 Artificial Intelligence 41, 1990).  Under a fixed branch map the search
 below an embedding state depends only on its pending edges and ``used``:
@@ -115,23 +130,40 @@ def search_subdivision(
         nonlocal used, nodes
         checks = level[i]
         cands = full & ~used if i else first
+        rejected = 0  # candidates some check rejects (see the docstring)
+        checks_each = checks
+        if not longer:
+            for _, a, b in checks:
+                step, x = (out, branch[a]) if b == i else (inm, branch[b])
+                admit = step[x] if len1 else 0
+                if len2:
+                    mids = step[x] & ~used
+                    while mids:
+                        low = mids & -mids
+                        admit |= step[low.bit_length() - 1]
+                        mids ^= low
+                rejected |= cands & ~admit
+            cands ^= rejected
+            checks_each = ()
         while cands:
             bit = cands & -cands
             cands ^= bit
-            nodes += 1
+            # This placement and the rejected ones below it.
+            nodes += (rejected & (bit - 1)).bit_count() + 1
             if nodes > budget:
+                nodes = budget + 1
                 raise _Budget
+            rejected &= -bit
             branch[i] = bit.bit_length() - 1
             used |= bit
-            pool = full & ~used
-            for _, a, b in checks:
+            for _, a, b in checks_each:
                 x = branch[a]
                 y = branch[b]
                 if len1 and (out[x] >> y) & 1:
                     continue
-                if len2 and out[x] & inm[y] & pool:
+                if len2 and out[x] & inm[y] & ~used:
                     continue
-                if not (longer and long_path(x, y, pool)):
+                if not long_path(x, y, full & ~used):
                     break
             else:
                 for ei, a, b in checks:
@@ -150,6 +182,10 @@ def search_subdivision(
                         return True
             branch[i] = -1
             used ^= bit
+        nodes += rejected.bit_count()
+        if nodes > budget:
+            nodes = budget + 1
+            raise _Budget
         return False
 
     def embed_edges(pending: List[int], pmask: int) -> bool:
@@ -168,15 +204,18 @@ def search_subdivision(
                 return False
             start = nodes
         free = full & ~used
-        if longer:
-            est = [direct[e] + (both[e] & free).bit_count()
-                   + min((tail_out[e] & free).bit_count(), (head_in[e] & free).bit_count())
-                   for e in pending]
-        else:
-            est = [direct[e] + (both[e] & free).bit_count() for e in pending]
-        best = min(est)
+        best = 0
+        for at, e in enumerate(pending):
+            est = direct[e] + (both[e] & free).bit_count()
+            if longer:
+                est += min((tail_out[e] & free).bit_count(), (head_in[e] & free).bit_count())
+            if not est:
+                best = 0  # a dead edge: the state fails with no node below it
+                break
+            if not best or est < best:
+                best = est
+                j = at
         if best:
-            j = est.index(best)
             pick = pending[j]
             rest = pending[:j] + pending[j + 1:]
             rmask = pmask ^ (1 << pick)

@@ -8,7 +8,11 @@ order, the same most-constrained edge (the first on a tie) and the same
 node at which each count is taken.  A revisited failed state adds the nodes
 of its first visit at once, so budget stops inside such skips are tested on
 symmetric hosts, where states recur, at strided budgets on two refutations,
-and with the table cleared after every one or three records.
+and with the table cleared after every one or three records.  At path
+lengths up to 2 the branch placements that fail a check are counted in
+bulk, so budget stops inside those counts are tested on a refutation whose
+branch maps die at the branch level, and on hosts wider than a machine
+word.
 """
 
 import importlib.util
@@ -268,6 +272,9 @@ def test_same_result_as_the_reference(masks, pattern, max_len, exact_len, data):
     (7, 2, "transitive:4", 2, 2),
     (7, 2, "complete:4", 2, None),
     (7, 4, "transitive:5", 3, None),  # found
+    (7, 3, "transitive:5", 1, None),  # cap 1: only direct edges admit a placement
+    (8, 3, "transitive:5", 3, 1),
+    (7, 2, "cycle:4", 4, 2),  # the last branch vertex is a head and a tail
 ])
 def test_every_budget_stops_at_the_same_node(n, seed, spec, max_len, exact_len):
     masks = host_masks(random_tournament(n, seed))
@@ -276,6 +283,37 @@ def test_every_budget_stops_at_the_same_node(n, seed, spec, max_len, exact_len):
     for budget in range(total + 2):
         ref, got = run_both(masks, pattern, max_len, exact_len, budget)
         assert got == ref, budget
+
+
+@pytest.mark.parametrize("t", [random_tournament(70, 0), rotational_tournament(71)])
+@pytest.mark.parametrize("spec, max_len, exact_len", [
+    ("transitive:3", 2, 2),
+    ("complete:3", 2, None),
+    ("complete:3", 1, None),  # every placement of branch vertex 1 is rejected
+    ("complete:5", 2, None),
+])
+def test_hosts_wider_than_a_machine_word(t, spec, max_len, exact_len):
+    masks = host_masks(t)
+    pattern = parse_pattern(spec)
+    ref, got = run_both(masks, pattern, max_len, exact_len, NODE_CAP)
+    assert got == ref
+    total = ref[3]
+    for budget in range(0, total, total // 7 + 1):
+        ref, got = run_both(masks, pattern, max_len, exact_len, budget)
+        assert got == ref, budget
+
+
+# blowup(5) complete:4 cap 2 is refuted at the branch level: 10,260 of its
+# 11,175 nodes are rejected placements, counted in bulk.
+@pytest.mark.parametrize("search, stride", [(pure.search_subdivision, 37),
+                                            (search_subdivision, 997)], ids=["pure", "fanned"])
+def test_budget_stops_inside_bulk_counts(search, stride):
+    pattern = parse_pattern("complete:4")
+    args = (host_masks(blowup_cyclic_triangle(5)), pattern.k, list(pattern.edges), 2, None)
+    nodes = 11_175
+    assert search(*args, 10**9) == search(*args, nodes) == (NOTFOUND, None, None, nodes)
+    for budget in [*range(0, nodes, stride), nodes - 1]:
+        assert search(*args, budget) == (BUDGET_EXCEEDED, None, None, budget + 1), budget
 
 
 # --- the oracle workload queries ------------------------------------------------
