@@ -248,6 +248,8 @@ def sweep(
         raise ValueError(f"unknown sweep finder {finder!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     kinds = SWEEP_KINDS if finder == "complete" else TT_KINDS
     kind_of = [kinds[i % len(kinds)] for i in range(trials)]
     first = {kind: kinds.index(kind) for kind in SEEDLESS_KINDS.intersection(kinds)}

@@ -123,16 +123,11 @@ class FinderParams:
         return self.scale * 2 * self.k**2
 
     @cached_property
-    def onesub_min_size(self) -> float:
-        """1-subdivision size gate: 1e7 k^2 ln^3 k, scaled (float: ln is
-        transcendental; the gate is only an admission check).  A size past
-        the float range reads as infinity."""
-        if self.k < 2:
-            return 0.0
-        try:
-            return float(self.scale) * 1e7 * self.k**2 * math.log(self.k) ** 3
-        except OverflowError:
-            return math.inf
+    def onesub_min_size(self) -> Fraction:
+        """1-subdivision size gate: 1e7 k^2 ln^3 k, scaled.  ln is
+        transcendental, so ln^3 k enters as the exact value of its float;
+        the gate is only an admission check."""
+        return self.scale * 10**7 * self.k**2 * Fraction(math.log(self.k) ** 3)
 
     def rescaled(self, k: int) -> "FinderParams":
         """The same scale for order k (``self`` when k already matches)."""

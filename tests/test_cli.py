@@ -1,9 +1,11 @@
 import argparse
 import hashlib
 import json
+import math
 import signal
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -139,7 +141,8 @@ def no_pattern(k):
 @pytest.mark.parametrize("finder, message", [
     ("complete", f"minimum out-degree 12 is below the required {2 * 10**400 + 147 * 10**350}.0"),
     ("tt3", f"40 vertices is below the required {150 * 10**400}"),
-    ("onesub", "40 vertices is below the required inf"),
+    # 1e7 k^2 ln^3 k at k = 10^200, with ln^3 k exact from its float: 415 digits.
+    ("onesub", f"40 vertices is below the required {10**407 * Fraction(math.log(10**200) ** 3)}"),
 ], ids=["complete", "tt3", "onesub"])
 def test_a_huge_k_gets_its_gate_message(tmp_path, capsys, monkeypatch, finder, message):
     host = random40(tmp_path)

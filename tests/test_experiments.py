@@ -123,6 +123,19 @@ def test_a_sweep_error_reads_the_same_on_two_workers(tmp_path, capsys):
         assert capsys.readouterr().err == "error: k must be at least 2\n"
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_a_sweep_needs_at_least_one_worker(tmp_path, capsys, workers):
+    message = f"workers must be >= 1, got {workers}"
+    with pytest.raises(ValueError, match=message):
+        sweep("tt3", k=2, trials=2, n=60, scale=Fraction(1, 12), seed=4, workers=workers)
+    out = tmp_path / "sweep.csv"
+    code = main(["experiment", "soundness-sweep", "--finder", "tt3", "--k", "2", "--trials", "2",
+                 "--n", "60", "--workers", str(workers), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # The worker map is loaded by a sweep or a search past the probe, and
     # imports what it forks with only when it forks, so a CLI start pays
